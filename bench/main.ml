@@ -627,6 +627,10 @@ type scaling_point = {
   flow_events : int;
   reconstruct_seconds : float;
   global_flow_seconds : float;
+  global_flow_minor_words_per_event : float;
+      (* minor-heap words the merge allocates per flow event (a
+         machine-independent count; the flat tables and id heaps keep it
+         near zero) *)
   analysis_seconds : float;
   stream_seconds : float;
   stream_shards : int;
@@ -748,9 +752,14 @@ let scaling_rung ?(shards = 1) name params =
   let t1 = Unix.gettimeofday () in
   let flows = reconstruct_flows_array collected ~sink:scenario.sink in
   let dt_rec = Unix.gettimeofday () -. t1 in
+  (* [Gc.minor_words] is exact for the calling domain ([Gc.quick_stat]'s
+     count only advances at minor collections); the merge's per-node
+     alignment workers allocate only a closure and an edge buffer each. *)
+  let w2 = Gc.minor_words () in
   let t2 = Unix.gettimeofday () in
   let gstats = Refill.Global_flow.merge collected ~flows ~emit:ignore in
   let dt_gf = Unix.gettimeofday () -. t2 in
+  let gf_minor_words = Gc.minor_words () -. w2 in
   let t3 = Unix.gettimeofday () in
   let verdicts = Array.map Refill.Classify.classify flows in
   let dt_an = Unix.gettimeofday () -. t3 in
@@ -841,10 +850,11 @@ let scaling_rung ?(shards = 1) name params =
   | None -> ());
   Printf.printf
     "%14sgc          %d minor / %d major collections, %.1fM major words, \
-     peak heap %.1fM words\n"
+     peak heap %.1fM words; merge %.2f minor words/event\n"
     "" gc.Refill_obs.Profile.minor_collections gc.major_collections
     (gc.major_words /. 1e6)
-    (float_of_int gc.top_heap_words /. 1e6);
+    (float_of_int gc.top_heap_words /. 1e6)
+    (gf_minor_words /. float_of_int (max 1 flow_events));
   Printf.printf
     "%14sdecode      %8.4fs arena (%.2fM records/s) vs %8.4fs records: \
      x%.1f ingest speedup  (gc minor %d vs %d)\n"
@@ -860,6 +870,8 @@ let scaling_rung ?(shards = 1) name params =
       flow_events;
       reconstruct_seconds = dt_rec;
       global_flow_seconds = dt_gf;
+      global_flow_minor_words_per_event =
+        gf_minor_words /. float_of_int (max 1 flow_events);
       analysis_seconds = dt_an;
       stream_seconds = dt_stream;
       stream_shards = shards;
@@ -1155,6 +1167,8 @@ let write_bench_json timings =
                      ("flow_events", J.Num (float_of_int p.flow_events));
                      ("reconstruct_seconds", J.Num p.reconstruct_seconds);
                      ("global_flow_seconds", J.Num p.global_flow_seconds);
+                     ( "global_flow_minor_words_per_event",
+                       J.Num p.global_flow_minor_words_per_event );
                      ("analysis_seconds", J.Num p.analysis_seconds);
                      ("stream_seconds", J.Num p.stream_seconds);
                      ("stream_shards", J.Num (float_of_int p.stream_shards));

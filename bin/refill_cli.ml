@@ -361,6 +361,12 @@ let print_breakdown verdicts ~sink ~total_label =
             (if s > 0 then Printf.sprintf "  [%d at sink]" s else ""))
     (Logsys.Cause.loss_causes @ [ Logsys.Cause.Unknown ])
 
+let print_global_flow_stats (gs : Refill.Global_flow.stats) =
+  Printf.printf
+    "global flow: %d events merged (%d logged, %d inferred), %d node-log \
+     constraints relaxed\n"
+    gs.events gs.logged gs.inferred gs.relaxed
+
 let analyze obs mk_config global_flow provenance input =
   with_observability obs @@ fun () ->
   match mk_config ~provenance:(provenance <> None) with
@@ -384,16 +390,10 @@ let analyze obs mk_config global_flow provenance input =
          events, %d unusable records\n"
         summary.packets summary.logged_events summary.inferred_events
         summary.skipped_events;
-      if global_flow then begin
-        let (gs : Refill.Global_flow.stats) =
-          Refill.Global_flow.merge dump.collected
-            ~flows:(Array.of_list flows) ~emit:ignore
-        in
-        Printf.printf
-          "global flow: %d events merged (%d logged, %d inferred), %d \
-           node-log constraints relaxed\n"
-          gs.events gs.logged gs.inferred gs.relaxed
-      end;
+      if global_flow then
+        print_global_flow_stats
+          (Refill.Global_flow.merge ?jobs:config.jobs dump.collected
+             ~flows:(Array.of_list flows) ~emit:ignore);
       let verdicts =
         List.map
           (fun (f : Refill.Flow.t) ->
@@ -466,12 +466,6 @@ let print_packet_summary (s : Refill.Reconstruct.summary) =
     "reconstructed %d packets: %d logged events, %d inferred lost events, %d \
      unusable records\n"
     s.packets s.logged_events s.inferred_events s.skipped_events
-
-let print_global_flow_stats (gs : Refill.Global_flow.stats) =
-  Printf.printf
-    "global flow: %d events merged (%d logged, %d inferred), %d node-log \
-     constraints relaxed\n"
-    gs.events gs.logged gs.inferred gs.relaxed
 
 let print_stream_summary (s : Refill.Stream.summary) =
   Printf.printf

@@ -6,8 +6,7 @@ type 'a t = {
   mutable next_seq : int;
 }
 
-let create ?(capacity = 16) () =
-  { data = [||]; size = 0; next_seq = capacity * 0 }
+let create () = { data = [||]; size = 0; next_seq = 0 }
 
 let length t = t.size
 
@@ -47,18 +46,13 @@ let grow t entry =
   Array.blit t.data 0 data 0 t.size;
   t.data <- data
 
-let push_entry t entry =
+let push t ~priority value =
+  let entry = { priority; seq = t.next_seq; value } in
+  t.next_seq <- t.next_seq + 1;
   if t.size = Array.length t.data then grow t entry;
   t.data.(t.size) <- entry;
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
-
-let push t ~priority value =
-  let entry = { priority; seq = t.next_seq; value } in
-  t.next_seq <- t.next_seq + 1;
-  push_entry t entry
-
-let push_tie t ~priority ~tie value = push_entry t { priority; seq = tie; value }
 
 let peek t =
   if t.size = 0 then None

@@ -1,27 +1,33 @@
 (* The network-wide merge is the pipeline stage that sees every event at
-   once (~1.4M items on the 30-day CitySee rung), so its data layout is
-   flat and index-based throughout:
+   once (~1.5M items on the 30-day CitySee rung), so its data layout is
+   flat and index-based throughout, and its hot loops allocate nothing:
 
    - items live in one array filled by two counted passes over the flows
      (no per-flow cons lists, no [Array.of_list]);
-   - packet identities are interned to dense ints ([pid]s) via int-packed
-     [(origin, seq)] keys, so the hot lookups hash machine ints instead of
-     tuples;
+   - packet identities are interned to dense ints ([pid]s) in a flat
+     open-addressing {!Prelude.Int_table} over int-packed [(origin, seq)]
+     keys; the [(packet, node)] alignment slots use a second one, and each
+     item remembers its slot, so the CSR fill does no lookups;
    - hard edges (per-packet flow order) are consecutive chains, stored as
      a single-successor array; soft edges (cross-packet node-log order)
-     are a CSR adjacency built in two counted passes;
+     are a CSR adjacency built in two counted passes, offsets filled in
+     place;
    - the per-node log alignment that discovers soft edges touches disjoint
      state per node, so it fans out across domains via {!Par};
-   - stall recovery pops a secondary min-heap of hard-ready events keyed
-     lexicographically by [(anchor, id)] — O(log n) per relaxation where
-     the previous implementation rescanned all n items per soft cycle
-     (O(n^2) worst case).
+   - emission is Kahn's algorithm over two {!Prelude.Id_heap}s (flat
+     arrays of int ids, priorities read from the anchor array, nothing
+     boxed per push or pop): the main heap of ready events, and a stall
+     heap holding only the events that are hard-ready but soft-blocked,
+     keyed lexicographically by [(anchor, id)] — O(log n) per relaxation
+     where the original implementation rescanned all n items per soft
+     cycle (O(n^2) worst case).
 
    The emission order is bit-identical to the straightforward
    list-and-hashtable implementation this replaced (the test suite keeps a
-   copy of it as an oracle): the main Kahn heap receives the same pushes
-   in the same sequence, and the stall heap's [(anchor, id)] key
-   reproduces the old linear scan's smallest-anchor-then-smallest-id
+   copy of it as an oracle): the main heap receives the same pushes in the
+   same sequence, and at every stall the stall heap's live entries are
+   exactly the hard-ready events not yet emitted, so its [(anchor, id)]
+   minimum is the old linear scan's smallest-anchor-then-smallest-id
    choice. *)
 
 module Obs = Refill_obs
@@ -60,43 +66,50 @@ let c_prov_carry =
 
 (* Packet interning.  Origins and seqs are small nonnegative ints for
    every logger-produced record (the same observation Collected's index
-   relies on), so the common case packs them into one int key; anything
-   exotic (hand-built logs) falls back to a tuple-keyed table. *)
+   relies on), so the common case packs them into one int key of a flat
+   {!Prelude.Int_table}; anything exotic (hand-built logs) falls back to a
+   tuple-keyed table.  Lookups return [-1] for an absent packet. *)
 let dense_limit = 1 lsl 28
 
 type interner = {
-  dense : (int, int) Hashtbl.t;
+  dense : Prelude.Int_table.t;
   exotic : (int * int, int) Hashtbl.t;
   mutable n_pids : int;
 }
 
 let interner_create n_hint =
   {
-    dense = Hashtbl.create (max 64 n_hint);
+    dense = Prelude.Int_table.create n_hint;
     exotic = Hashtbl.create 8;
     n_pids = 0;
   }
 
+let is_dense ~origin ~seq =
+  origin >= 0 && origin < dense_limit && seq >= 0 && seq < dense_limit
+
 let pid_intern t ~origin ~seq =
-  let fresh tbl key =
-    match Hashtbl.find_opt tbl key with
-    | Some pid -> pid
-    | None ->
-        let pid = t.n_pids in
-        t.n_pids <- pid + 1;
-        Hashtbl.add tbl key pid;
-        pid
+  let pid =
+    if is_dense ~origin ~seq then
+      Prelude.Int_table.find_or_add t.dense ((origin lsl 28) lor seq) t.n_pids
+    else
+      match Hashtbl.find_opt t.exotic (origin, seq) with
+      | Some pid -> pid
+      | None ->
+          Hashtbl.add t.exotic (origin, seq) t.n_pids;
+          t.n_pids
   in
-  if origin >= 0 && origin < dense_limit && seq >= 0 && seq < dense_limit then
-    fresh t.dense ((origin lsl 28) lor seq)
-  else fresh t.exotic (origin, seq)
+  if pid = t.n_pids then t.n_pids <- pid + 1;
+  pid
 
 (* Lookup without interning — absent keys mean "no constraint", exactly as
    a missing queue did in the hashtable implementation. *)
 let pid_find t ~origin ~seq =
-  if origin >= 0 && origin < dense_limit && seq >= 0 && seq < dense_limit then
-    Hashtbl.find_opt t.dense ((origin lsl 28) lor seq)
-  else Hashtbl.find_opt t.exotic (origin, seq)
+  if is_dense ~origin ~seq then
+    Prelude.Int_table.find t.dense ((origin lsl 28) lor seq)
+  else
+    match Hashtbl.find_opt t.exotic (origin, seq) with
+    | Some pid -> pid
+    | None -> -1
 
 (* A tiny growable int buffer for the per-node edge lists (edges are
    appended as flattened [src; dst] pairs). *)
@@ -113,6 +126,21 @@ let ibuf_push2 b x y =
   b.data.(b.len) <- x;
   b.data.(b.len + 1) <- y;
   b.len <- b.len + 2
+
+(* CSR offsets in place, without a separate fill-cursor array: on entry
+   [off.(k + 1)] holds run [k]'s length; [csr_starts] turns that into run
+   starts, the fill advances [off.(k)] through run [k] (ending at run
+   [k + 1]'s start), and [csr_restore] shifts the starts back. *)
+let csr_starts off =
+  for k = 1 to Array.length off - 1 do
+    off.(k) <- off.(k) + off.(k - 1)
+  done
+
+let csr_restore off =
+  for k = Array.length off - 1 downto 1 do
+    off.(k) <- off.(k - 1)
+  done;
+  off.(0) <- 0
 
 (* Where the merge reads per-node logs from: a record snapshot, or an
    arena-indexed packet index (columns; the alignment never materializes
@@ -199,86 +227,82 @@ let merge_untimed ?jobs ?emit_prov source ~(flows : Flow.t array)
       flows;
     (* ---- Soft-constraint candidates: for each (packet, node), the
        logged items whose payloads can be aligned with that node's log, in
-       flow order.  CSR over dense slots, two counted passes; the node
-       component of the slot key partitions slots across nodes, which is
-       what lets the alignment below run per-node in parallel. ---- *)
+       flow order.  One pass interns each eligible item's slot (payload
+       packets are interned too: a payload key that never appeared as a
+       flow key still forms its own queue) and remembers it, so the CSR
+       fill needs no second lookup.  The node component of the slot key
+       partitions slots across nodes, which is what lets the alignment
+       below run per-node in parallel. ---- *)
     let n_nodes =
       match source with
       | Snapshot c -> Logsys.Collected.n_nodes c
       | Arena_index p -> Logsys.Arena.Packets.n_nodes p
     in
-    let slot_tbl : (int, int) Hashtbl.t = Hashtbl.create (max 64 n_flows) in
-    let n_slots = ref 0 in
-    let q_count = Array.make n 0 in
-    let eligible = ref 0 in
-    let slot_key id (r : Logsys.Record.t) =
+    let slots = Prelude.Int_table.create (n / 3) in
+    let slot_of = Array.make n (-1) in
+    for id = 0 to n - 1 do
       let item = items.(id) in
-      if item.Engine.inferred || item.Engine.node < 0
-         || item.Engine.node >= n_nodes
-      then None
-      else
-        match pid_find interner ~origin:r.origin ~seq:r.pkt_seq with
-        | None -> None
-        | Some qpid -> Some ((qpid * n_nodes) + item.Engine.node)
-    in
-    for id = 0 to n - 1 do
-      match items.(id).Engine.payload with
-      | None -> ()
-      | Some r -> (
-          (* Payload packets are interned too: a payload key that never
-             appeared as a flow key still forms its own queue. *)
-          let item = items.(id) in
-          if
-            (not item.Engine.inferred)
-            && item.Engine.node >= 0
-            && item.Engine.node < n_nodes
-          then begin
-            let qpid = pid_intern interner ~origin:r.origin ~seq:r.pkt_seq in
-            let key = (qpid * n_nodes) + item.Engine.node in
-            let slot =
-              match Hashtbl.find_opt slot_tbl key with
-              | Some s -> s
-              | None ->
-                  let s = !n_slots in
-                  incr n_slots;
-                  Hashtbl.add slot_tbl key s;
-                  s
-            in
-            q_count.(slot) <- q_count.(slot) + 1;
-            incr eligible
-          end)
+      match item.Engine.payload with
+      | Some r
+        when (not item.Engine.inferred)
+             && item.Engine.node >= 0
+             && item.Engine.node < n_nodes ->
+          let qpid = pid_intern interner ~origin:r.origin ~seq:r.pkt_seq in
+          slot_of.(id) <-
+            Prelude.Int_table.find_or_add slots
+              ((qpid * n_nodes) + item.Engine.node)
+              (Prelude.Int_table.length slots)
+      | Some _ | None -> ()
     done;
-    let n_slots = !n_slots in
+    let n_slots = Prelude.Int_table.length slots in
     let q_off = Array.make (n_slots + 1) 0 in
-    for s = 0 to n_slots - 1 do
-      q_off.(s + 1) <- q_off.(s) + q_count.(s)
-    done;
-    let q_ids = Array.make (max 1 !eligible) 0 in
-    let q_fill = Array.make (max 1 n_slots) 0 in
+    Array.iter
+      (fun s -> if s >= 0 then q_off.(s + 1) <- q_off.(s + 1) + 1)
+      slot_of;
+    csr_starts q_off;
+    let q_ids = Array.make (max 1 q_off.(n_slots)) 0 in
     for id = 0 to n - 1 do
-      match items.(id).Engine.payload with
-      | None -> ()
-      | Some r -> (
-          match slot_key id r with
-          | None -> ()
-          | Some key ->
-              let slot = Hashtbl.find slot_tbl key in
-              q_ids.(q_off.(slot) + q_fill.(slot)) <- id;
-              q_fill.(slot) <- q_fill.(slot) + 1)
+      let slot = slot_of.(id) in
+      if slot >= 0 then begin
+        q_ids.(q_off.(slot)) <- id;
+        q_off.(slot) <- q_off.(slot) + 1
+      end
     done;
+    csr_restore q_off;
     (* ---- Per-node alignment: walk each node's log, matching records
        against the head of their (packet, node) candidate run; a match
        fixes the item's anchor (its log-position fraction) and chains a
        soft edge from the previously matched item on that node.  Each
        worker touches only its node's slots, cursors and matched item ids,
-       so nodes fan out across domains; interner reads are lookups into
-       tables no longer being written. ---- *)
+       so nodes fan out across domains; interner and slot reads are
+       lookups into tables no longer being written. ---- *)
     let q_cursor = Array.make (max 1 n_slots) 0 in
     (* One alignment body per source shape (both monomorphic hot loops):
        identical slot/cursor/anchor logic, differing only in how a log
        entry's key is read and how it is compared against a payload —
        record fields vs column reads ([Arena.equal_record] never
        materializes). *)
+    (* The slot of packet [(origin, seq)] on [node] while its run still
+       has an unmatched candidate, else [-1]. *)
+    let head_of ~node ~origin ~seq =
+      let qpid = pid_find interner ~origin ~seq in
+      if qpid < 0 then -1
+      else
+        let slot = Prelude.Int_table.find slots ((qpid * n_nodes) + node) in
+        if slot < 0 || q_cursor.(slot) >= q_off.(slot + 1) - q_off.(slot)
+        then -1
+        else slot
+    in
+    (* [id], the head of [slot]'s run, matched log entry [log_idx]. *)
+    let take slot id ~log_idx ~len ~edges ~last =
+      q_cursor.(slot) <- q_cursor.(slot) + 1;
+      anchors.(id) <- float_of_int log_idx /. len;
+      (* Distinct ids per node: safe to write from the per-node workers,
+         like [anchors] above. *)
+      if want_prov then aligned.(id) <- true;
+      if !last >= 0 then ibuf_push2 edges !last id;
+      last := id
+    in
     let align_snapshot collected node =
       let log = Logsys.Collected.node_log collected node in
       let len = float_of_int (max 1 (Array.length log)) in
@@ -286,28 +310,16 @@ let merge_untimed ?jobs ?emit_prov source ~(flows : Flow.t array)
       let last = ref (-1) in
       Array.iteri
         (fun log_idx (r : Logsys.Record.t) ->
-          match pid_find interner ~origin:r.origin ~seq:r.pkt_seq with
-          | None -> ()
-          | Some qpid -> (
-              match Hashtbl.find_opt slot_tbl ((qpid * n_nodes) + node) with
-              | None -> ()
-              | Some slot ->
-                  let cur = q_cursor.(slot) in
-                  if cur < q_off.(slot + 1) - q_off.(slot) then begin
-                    let id = q_ids.(q_off.(slot) + cur) in
-                    match items.(id).Engine.payload with
-                    | Some r' when Logsys.Record.equal r r' ->
-                        q_cursor.(slot) <- cur + 1;
-                        anchors.(id) <- float_of_int log_idx /. len;
-                        (* Distinct ids per node: safe to write from the
-                           per-node workers, like [anchors] above. *)
-                        if want_prov then aligned.(id) <- true;
-                        if !last >= 0 then ibuf_push2 edges !last id;
-                        last := id
-                    | Some _ | None -> ()
-                  end))
+          let slot = head_of ~node ~origin:r.origin ~seq:r.pkt_seq in
+          if slot >= 0 then begin
+            let id = q_ids.(q_off.(slot) + q_cursor.(slot)) in
+            match items.(id).Engine.payload with
+            | Some r' when Logsys.Record.equal r r' ->
+                take slot id ~log_idx ~len ~edges ~last
+            | Some _ | None -> ()
+          end)
         log;
-      Array.sub edges.data 0 edges.len
+      edges
     in
     let align_arena packets arena node =
       let rows = Logsys.Arena.Packets.node_rows packets node in
@@ -316,28 +328,20 @@ let merge_untimed ?jobs ?emit_prov source ~(flows : Flow.t array)
       let last = ref (-1) in
       Array.iteri
         (fun log_idx row ->
-          let origin = Logsys.Arena.origin arena row
-          and seq = Logsys.Arena.pkt_seq arena row in
-          match pid_find interner ~origin ~seq with
-          | None -> ()
-          | Some qpid -> (
-              match Hashtbl.find_opt slot_tbl ((qpid * n_nodes) + node) with
-              | None -> ()
-              | Some slot ->
-                  let cur = q_cursor.(slot) in
-                  if cur < q_off.(slot + 1) - q_off.(slot) then begin
-                    let id = q_ids.(q_off.(slot) + cur) in
-                    match items.(id).Engine.payload with
-                    | Some r' when Logsys.Arena.equal_record arena row r' ->
-                        q_cursor.(slot) <- cur + 1;
-                        anchors.(id) <- float_of_int log_idx /. len;
-                        if want_prov then aligned.(id) <- true;
-                        if !last >= 0 then ibuf_push2 edges !last id;
-                        last := id
-                    | Some _ | None -> ()
-                  end))
+          let slot =
+            head_of ~node
+              ~origin:(Logsys.Arena.origin arena row)
+              ~seq:(Logsys.Arena.pkt_seq arena row)
+          in
+          if slot >= 0 then begin
+            let id = q_ids.(q_off.(slot) + q_cursor.(slot)) in
+            match items.(id).Engine.payload with
+            | Some r' when Logsys.Arena.equal_record arena row r' ->
+                take slot id ~log_idx ~len ~edges ~last
+            | Some _ | None -> ()
+          end)
         rows;
-      Array.sub edges.data 0 edges.len
+      edges
     in
     let align =
       match source with
@@ -358,42 +362,35 @@ let merge_untimed ?jobs ?emit_prov source ~(flows : Flow.t array)
        is the successor order emission traverses. ---- *)
     let relaxed = ref 0 in
     let soft_in = Array.make n 0 in
-    let soft_out = Array.make n 0 in
-    let n_soft = ref 0 in
+    let soft_off = Array.make (n + 1) 0 in
     let iter_edges f =
       Array.iter
-        (fun (edges : int array) ->
-          let m = Array.length edges in
+        (fun (edges : ibuf) ->
           let k = ref 0 in
-          while !k < m do
-            f edges.(!k) edges.(!k + 1);
+          while !k < edges.len do
+            f edges.data.(!k) edges.data.(!k + 1);
             k := !k + 2
           done)
         node_edges
     in
+    let opposed a b =
+      packet_of.(a) = packet_of.(b) && pos_of.(b) <= pos_of.(a)
+    in
     iter_edges (fun a b ->
         if a <> b then
-          if packet_of.(a) = packet_of.(b) && pos_of.(b) <= pos_of.(a) then
-            incr relaxed
+          if opposed a b then incr relaxed
           else begin
-            soft_out.(a) <- soft_out.(a) + 1;
-            soft_in.(b) <- soft_in.(b) + 1;
-            incr n_soft
+            soft_off.(a + 1) <- soft_off.(a + 1) + 1;
+            soft_in.(b) <- soft_in.(b) + 1
           end);
-    let soft_off = Array.make (n + 1) 0 in
-    for id = 0 to n - 1 do
-      soft_off.(id + 1) <- soft_off.(id) + soft_out.(id)
-    done;
-    let soft_adj = Array.make (max 1 !n_soft) 0 in
-    let soft_fill = Array.make n 0 in
+    csr_starts soft_off;
+    let soft_adj = Array.make (max 1 soft_off.(n)) 0 in
     iter_edges (fun a b ->
-        if
-          a <> b
-          && not (packet_of.(a) = packet_of.(b) && pos_of.(b) <= pos_of.(a))
-        then begin
-          soft_adj.(soft_off.(a) + soft_fill.(a)) <- b;
-          soft_fill.(a) <- soft_fill.(a) + 1
+        if a <> b && not (opposed a b) then begin
+          soft_adj.(soft_off.(a)) <- b;
+          soft_off.(a) <- soft_off.(a) + 1
         end);
+    csr_restore soft_off;
     (* ---- Anchor inheritance for unmatched items: nearest logged
        neighbour in their flow, following first (backward pass), then
        preceding (forward pass), else 0. ---- *)
@@ -413,27 +410,37 @@ let merge_untimed ?jobs ?emit_prov source ~(flows : Flow.t array)
           (if Float.is_nan carry.(pid) then 0. else carry.(pid))
       else carry.(pid) <- anchors.(id)
     done;
-    (* ---- Deterministic Kahn's algorithm.  The main heap orders ready
-       events by anchor (FIFO among equals); the stall heap indexes every
-       event whose HARD prerequisites are met, keyed (anchor, id), so
-       breaking a soft cycle is a pop instead of a full rescan.  Entries
-       go stale when their event is emitted through the main heap — pops
-       skip those lazily. ---- *)
-    let module Pq = Prelude.Heap in
-    let main = Pq.create ~capacity:(max 16 (n / 4)) () in
-    let stall = Pq.create ~capacity:(max 16 (n / 4)) () in
+    (* ---- Deterministic Kahn's algorithm over two flat id heaps keyed
+       by anchor.  The main heap holds ready events, FIFO among equal
+       anchors.  The stall heap holds the events that became hard-ready
+       (every same-packet predecessor emitted) while soft in-edges were
+       still pending, keyed (anchor, id), so breaking a soft cycle is a pop
+       instead of a full rescan.  A hard-ready event with no soft in-edge
+       goes straight to the main heap, which always emits it before it can
+       run empty; so at every stall the stall heap's live entries are
+       exactly the hard-ready events not yet emitted.  Entries go stale
+       when their event is emitted through the main heap — pops skip those
+       lazily. ---- *)
+    let module Pq = Prelude.Id_heap in
+    let main = Pq.create anchors in
+    let stall = Pq.create anchors in
+    let main_seq = ref 0 in
+    let push_main id =
+      Pq.push main ~tie:!main_seq id;
+      incr main_seq
+    in
+    let hard_ready id =
+      if soft_in.(id) = 0 then push_main id else Pq.push stall ~tie:id id
+    in
     let emitted = Array.make n false in
     let emitted_count = ref 0 in
     let stalls = ref 0 in
     for id = 0 to n - 1 do
-      if hard_in.(id) = 0 then begin
-        Pq.push_tie stall ~priority:anchors.(id) ~tie:id id;
-        if soft_in.(id) = 0 then Pq.push main ~priority:anchors.(id) id
-      end
+      if hard_in.(id) = 0 then hard_ready id
     done;
     let n_stall_prov = ref 0 in
     let n_carry_prov = ref 0 in
-    let emit ?(stalled = false) id =
+    let emit ~stalled id =
       emitted.(id) <- true;
       emit_item items.(id);
       (match emit_prov with
@@ -458,41 +465,39 @@ let merge_untimed ?jobs ?emit_prov source ~(flows : Flow.t array)
           in
           f pv);
       incr emitted_count;
-      (match hard_succ.(id) with
-      | -1 -> ()
-      | succ ->
-          hard_in.(succ) <- hard_in.(succ) - 1;
-          if hard_in.(succ) = 0 then begin
-            Pq.push_tie stall ~priority:anchors.(succ) ~tie:succ succ;
-            if soft_in.(succ) = 0 && not emitted.(succ) then
-              Pq.push main ~priority:anchors.(succ) succ
-          end);
+      let succ = hard_succ.(id) in
+      if succ >= 0 then begin
+        hard_in.(succ) <- hard_in.(succ) - 1;
+        if hard_in.(succ) = 0 then hard_ready succ
+      end;
       for k = soft_off.(id) to soft_off.(id + 1) - 1 do
         let succ = soft_adj.(k) in
         soft_in.(succ) <- soft_in.(succ) - 1;
         if hard_in.(succ) = 0 && soft_in.(succ) = 0 && not emitted.(succ)
-        then Pq.push main ~priority:anchors.(succ) succ
+        then push_main succ
       done
     in
     while !emitted_count < n do
-      match Pq.pop main with
-      | Some (_, id) -> if not emitted.(id) then emit id
-      | None ->
-          (* A cycle through soft edges: release the (anchor, id)-smallest
-             event whose hard prerequisites are met by dropping its
-             remaining soft in-edges.  Hard edges are per-packet chains
-             (acyclic), so the stall heap always holds a live entry. *)
-          let rec release () =
-            match Pq.pop stall with
-            | None -> assert false
-            | Some (_, id) when emitted.(id) -> release ()
-            | Some (_, id) ->
-                relaxed := !relaxed + soft_in.(id);
-                soft_in.(id) <- 0;
-                incr stalls;
-                emit ~stalled:true id
-          in
-          release ()
+      let id = Pq.pop main in
+      if id >= 0 then begin
+        if not emitted.(id) then emit ~stalled:false id
+      end
+      else begin
+        (* A cycle through soft edges: release the (anchor, id)-smallest
+           event whose hard prerequisites are met by dropping its
+           remaining soft in-edges.  Hard edges are per-packet chains
+           (acyclic), so the stall heap always holds a live entry. *)
+        let id = ref (Pq.pop stall) in
+        while !id >= 0 && emitted.(!id) do
+          id := Pq.pop stall
+        done;
+        let id = !id in
+        assert (id >= 0);
+        relaxed := !relaxed + soft_in.(id);
+        soft_in.(id) <- 0;
+        incr stalls;
+        emit ~stalled:true id
+      end
     done;
     let stats =
       {

@@ -45,8 +45,8 @@ val merge :
     item to [emit], in global-flow order.  [collected] must be the same
     snapshot the flows were reconstructed from (its per-node logs provide
     the cross-packet constraints).  Every flow's items appear in their
-    original relative order.  This is the single entry point; the old
-    [build]/[build_array] signatures below are thin collecting aliases.
+    original relative order.  {!merge_from} generalizes it over the log
+    source, and {!Incremental} feeds it from a stream.
 
     [jobs] caps the domain fan-out of the per-node log alignment (default
     {!Par.default_jobs}; small inputs stay serial).  The emission sequence

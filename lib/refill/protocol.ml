@@ -366,24 +366,21 @@ let all_labels =
    read.  Built once per role; the FSMs are static. *)
 let role_id_table fsm = Array.map (fun l -> Fsm.label_id fsm l) all_labels
 
-let origin_ids = lazy (role_id_table origin_fsm)
-let forwarder_ids = lazy (role_id_table forwarder_fsm)
-let sink_ids = lazy (role_id_table sink_fsm)
+(* Eager, not lazy: a [Lazy.t] forced by two domains at once raises
+   [CamlinternalLazy.Undefined] in the loser. *)
+let origin_ids = role_id_table origin_fsm
+let forwarder_ids = role_id_table forwarder_fsm
+let sink_ids = role_id_table sink_fsm
 
 let ids_for_role = function
-  | Origin -> Lazy.force origin_ids
-  | Forwarder -> Lazy.force forwarder_ids
-  | Sink -> Lazy.force sink_ids
+  | Origin -> origin_ids
+  | Forwarder -> forwarder_ids
+  | Sink -> sink_ids
 
 let precompute_fsms () =
   Fsm.precompute origin_fsm;
   Fsm.precompute forwarder_fsm;
-  Fsm.precompute sink_fsm;
-  (* Also force the per-role id tables so worker domains only ever read
-     them. *)
-  ignore (ids_for_role Origin : int array);
-  ignore (ids_for_role Forwarder : int array);
-  ignore (ids_for_role Sink : int array)
+  Fsm.precompute sink_fsm
 
 type packed = {
   p_nodes : int array;

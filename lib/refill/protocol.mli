@@ -69,7 +69,8 @@ val fsm_of_role : role -> label Fsm.t
 val precompute_fsms : unit -> unit
 (** {!Fsm.precompute} all three role FSMs, making their caches complete
     and therefore safe to share read-only across worker domains.  Called
-    by [Reconstruct.run] before going parallel; idempotent. *)
+    by [Reconstruct.run] before going parallel and by [Stream.Sharded]
+    before spawning its shard workers; idempotent. *)
 
 val unknown_node : int
 (** [-1]: placeholder peer when synthesis cannot recover the other

@@ -916,6 +916,10 @@ module Sharded = struct
         ~publish_gauges:false ~sink ~emit ()
     in
     init st;
+    (* Shard workers query the shared role FSMs concurrently, so their
+       memo caches must be complete before the first worker starts; once
+       complete, this call only reads them. *)
+    Protocol.precompute_fsms ();
     let w =
       {
         w_stream = st;

@@ -1,5 +1,7 @@
 (* End-to-end tests driving the built `refill` binary: the metrics dump on
-   error exits, and the `explain` worked example (text and JSON). *)
+   error exits, the `explain` worked example (text and JSON), the
+   global-flow summary across merge settings, and sharded streaming from
+   fresh processes. *)
 
 module J = Refill_obs.Json
 
@@ -213,6 +215,75 @@ let explain_json_parses () =
             events
       | _ -> Alcotest.fail "no events array")
 
+(* -- Global-flow merge ------------------------------------------------------ *)
+
+let global_flow_line out =
+  match
+    List.find_opt
+      (fun l -> String.starts_with ~prefix:"global flow:" l)
+      (String.split_on_char '\n' out)
+  with
+  | Some l -> l
+  | None -> Alcotest.fail "no `global flow:` line"
+
+let analyze_global_flow_jobs () =
+  (* The merge's output is independent of its alignment fan-out, and
+     `analyze` hands its --jobs to the merge like `reconstruct` does. *)
+  let log = Lazy.force log_file in
+  let run extra =
+    let code, out =
+      run_cli ([ "analyze"; log; "--global-flow"; "-q" ] @ extra)
+    in
+    Alcotest.(check int) "analyze exits 0" 0 code;
+    global_flow_line out
+  in
+  let default = run [] in
+  Alcotest.(check string) "--jobs 1 = default" default (run [ "--jobs"; "1" ]);
+  (* The arena-indexed merge source reads the same records. *)
+  let code, out =
+    run_cli [ "reconstruct"; "--mmap"; "--global-flow"; log; "-q" ]
+  in
+  Alcotest.(check int) "reconstruct exits 0" 0 code;
+  Alcotest.(check string) "reconstruct --mmap = analyze" default
+    (global_flow_line out)
+
+(* -- Sharded streaming ------------------------------------------------------ *)
+
+let sharded_first_use_race () =
+  (* Shard workers once forced the protocol's lazy per-role tables
+     concurrently, and the loser died with CamlinternalLazy.Undefined.
+     That only fires on first use, so each run is a fresh process; a small
+     watermark makes both shards evict (and query the FSMs) mid-stream. *)
+  let trace = tmp ".log" in
+  let code, _ =
+    run_cli
+      [
+        "simulate"; "--days"; "1"; "--nodes"; "16"; "--seed"; "7";
+        "--stream-order"; "-q"; "-o"; trace;
+      ]
+  in
+  Alcotest.(check int) "simulate exits 0" 0 code;
+  let emit shards =
+    let path = tmp ".emit" in
+    let code, _ =
+      run_cli
+        [
+          "reconstruct"; "--stream"; "--shards"; string_of_int shards;
+          "--watermark"; "200"; "--emit-file"; path; trace; "-q";
+        ]
+    in
+    Alcotest.(check int) (Printf.sprintf "--shards %d exits 0" shards) 0 code;
+    let text = read_file path in
+    Sys.remove path;
+    text
+  in
+  let single = emit 1 in
+  for _ = 1 to 20 do
+    Alcotest.(check bool) "--shards 2 emits what --shards 1 does" true
+      (String.equal single (emit 2))
+  done;
+  Sys.remove trace
+
 let () =
   Alcotest.run "refill-cli"
     [
@@ -239,5 +310,15 @@ let () =
         [
           Alcotest.test_case "text output" `Quick explain_text_works;
           Alcotest.test_case "json output" `Quick explain_json_parses;
+        ] );
+      ( "global-flow",
+        [
+          Alcotest.test_case "analyze --jobs 1 = default = --mmap" `Quick
+            analyze_global_flow_jobs;
+        ] );
+      ( "sharded",
+        [
+          Alcotest.test_case "fresh-process --shards 2 = --shards 1" `Quick
+            sharded_first_use_race;
         ] );
     ]

@@ -138,18 +138,6 @@ let heap_peek_does_not_remove () =
   Alcotest.(check bool) "peek min" true (Heap.peek h = Some (1., 1));
   Alcotest.(check int) "length unchanged" 2 (Heap.length h)
 
-let heap_push_tie_order () =
-  (* push_tie breaks equal priorities by the explicit tie key, not by
-     insertion order — "c" goes in before "b" but pops after it. *)
-  let h = Heap.create () in
-  Heap.push_tie h ~priority:1. ~tie:5 "c";
-  Heap.push_tie h ~priority:1. ~tie:2 "b";
-  Heap.push_tie h ~priority:0.5 ~tie:9 "a";
-  Heap.push_tie h ~priority:1. ~tie:7 "d";
-  let drained = List.map snd (Heap.to_sorted_list h) in
-  Alcotest.(check (list string)) "lexicographic (priority, tie)"
-    [ "a"; "b"; "c"; "d" ] drained
-
 let heap_to_sorted_preserves () =
   let h = Heap.create () in
   List.iter (fun p -> Heap.push h ~priority:(float_of_int p) p) [ 3; 1; 2 ];
@@ -164,6 +152,131 @@ let heap_property_sorted =
       List.iter (fun p -> Heap.push h ~priority:p p) priorities;
       let drained = List.map fst (Heap.to_sorted_list h) in
       drained = List.stable_sort Float.compare priorities)
+
+(* -- Id_heap -------------------------------------------------------------- *)
+
+let drain_ids h =
+  let rec go acc =
+    match Id_heap.pop h with -1 -> List.rev acc | id -> go (id :: acc)
+  in
+  go []
+
+let id_heap_tie_order () =
+  (* Equal priorities pop in ascending tie order, not insertion order:
+     id 0 goes in before id 1 but pops after it. *)
+  let h = Id_heap.create [| 1.; 1.; 0.5; 1. |] in
+  Id_heap.push h ~tie:5 0;
+  Id_heap.push h ~tie:2 1;
+  Id_heap.push h ~tie:9 2;
+  Id_heap.push h ~tie:7 3;
+  Alcotest.(check (list int)) "lexicographic (priority, tie)" [ 2; 1; 0; 3 ]
+    (drain_ids h);
+  Alcotest.(check int) "empty pops -1" (-1) (Id_heap.pop h)
+
+let id_heap_property_sorted =
+  (* Against a sorted list: ids pushed in a random order with random
+     (possibly repeated) priorities and distinct ties pop in (priority,
+     tie) order, across interleaved pushes and pops. *)
+  QCheck.Test.make ~name:"id heap pops in (priority, tie) order" ~count:200
+    QCheck.(small_list (pair (int_bound 20) bool))
+    (fun ops ->
+      let n = List.length ops in
+      let priorities =
+        Array.of_list (List.map (fun (p, _) -> float_of_int p /. 4.) ops)
+      in
+      let h = Id_heap.create priorities in
+      let model = ref [] in
+      let ok = ref true in
+      let key id = (priorities.(id), n - id) in
+      List.iteri
+        (fun id (_, pop_after) ->
+          Id_heap.push h ~tie:(n - id) id;
+          model :=
+            List.merge (fun a b -> compare (key a) (key b)) [ id ] !model;
+          if pop_after then begin
+            match !model with
+            | [] -> ok := false
+            | m :: rest ->
+                model := rest;
+                if Id_heap.pop h <> m then ok := false
+          end)
+        ops;
+      !ok && drain_ids h = !model)
+
+let id_heap_zero_alloc () =
+  (* Warm push/pop of 10k ids allocates nothing: the minor-words delta of
+     the work equals that of an empty thunk measured the same way.
+     [Gc.minor_words] is exact for the calling domain; [Gc.quick_stat]'s
+     count only advances at minor collections, which 10k small pushes
+     would not trigger. *)
+  let n = 10_000 in
+  let priorities = Array.init n (fun i -> float_of_int ((i * 7919) mod 97)) in
+  let h = Id_heap.create priorities in
+  let cycle () =
+    for id = 0 to n - 1 do
+      Id_heap.push h ~tie:id id
+    done;
+    for _ = 1 to n do
+      ignore (Id_heap.pop h : int)
+    done
+  in
+  cycle ();
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let baseline = words (fun () -> ()) in
+  Alcotest.(check (float 0.)) "minor words" 0. (words cycle -. baseline)
+
+(* -- Int_table ------------------------------------------------------------ *)
+
+let int_table_property =
+  (* Against Hashtbl: interning a key sequence (small keys, large keys and
+     collisions-to-be) gives the same ids, and every key — present or
+     not — looks up the same. *)
+  QCheck.Test.make ~name:"int table interns like Hashtbl" ~count:200
+    QCheck.(list (oneof [ int_bound 50; int_bound max_int ]))
+    (fun keys ->
+      let t = Int_table.create 1 and model = Hashtbl.create 16 in
+      let interned =
+        List.for_all
+          (fun k ->
+            let fresh = Hashtbl.length model in
+            let expect =
+              match Hashtbl.find_opt model k with
+              | Some v -> v
+              | None ->
+                  Hashtbl.add model k fresh;
+                  fresh
+            in
+            Int_table.find_or_add t k fresh = expect)
+          keys
+      in
+      let agrees k =
+        Int_table.find t k
+        = Option.value ~default:(-1) (Hashtbl.find_opt model k)
+      in
+      interned
+      && Int_table.length t = Hashtbl.length model
+      && List.for_all (fun k -> agrees k && agrees (k + 51)) keys)
+
+let int_table_edges () =
+  let t = Int_table.create 0 in
+  Alcotest.(check int) "absent" (-1) (Int_table.find t 3);
+  Alcotest.(check int) "negative key absent" (-1) (Int_table.find t (-3));
+  Alcotest.(check int) "new binding" 7 (Int_table.find_or_add t 3 7);
+  Alcotest.(check int) "existing binding wins" 7 (Int_table.find_or_add t 3 9);
+  Alcotest.check_raises "negative key rejected"
+    (Invalid_argument "Int_table.find_or_add: negative") (fun () ->
+      ignore (Int_table.find_or_add t (-1) 0 : int));
+  (* Growth keeps every binding. *)
+  for k = 0 to 999 do
+    ignore (Int_table.find_or_add t (k lsl 28) k : int)
+  done;
+  Alcotest.(check int) "length" 1001 (Int_table.length t);
+  Alcotest.(check int) "after growth" 999 (Int_table.find t (999 lsl 28));
+  Alcotest.(check int) "first binding kept" 7 (Int_table.find t 3)
 
 (* -- Stats ---------------------------------------------------------------- *)
 
@@ -262,12 +375,22 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick heap_ordering;
           Alcotest.test_case "fifo ties" `Quick heap_fifo_ties;
-          Alcotest.test_case "push_tie ties" `Quick heap_push_tie_order;
           Alcotest.test_case "empty" `Quick heap_empty;
           Alcotest.test_case "peek" `Quick heap_peek_does_not_remove;
           Alcotest.test_case "to_sorted preserves" `Quick
             heap_to_sorted_preserves;
           QCheck_alcotest.to_alcotest heap_property_sorted;
+        ] );
+      ( "id_heap",
+        [
+          Alcotest.test_case "(priority, tie) ties" `Quick id_heap_tie_order;
+          Alcotest.test_case "zero allocation" `Quick id_heap_zero_alloc;
+          QCheck_alcotest.to_alcotest id_heap_property_sorted;
+        ] );
+      ( "int_table",
+        [
+          Alcotest.test_case "edges" `Quick int_table_edges;
+          QCheck_alcotest.to_alcotest int_table_property;
         ] );
       ( "stats",
         [
