@@ -372,8 +372,12 @@ let analyze obs mk_config global_flow provenance input =
   match mk_config ~provenance:(provenance <> None) with
   | Error e -> err_exit e
   | Ok config -> (
-      match Logsys.Log_io.load_file input with
-      | dump ->
+      match
+        Refill.Error.guard ~source:input (fun () ->
+            Logsys.Log_io.load_file input)
+      with
+      | Error e -> err_exit e
+      | Ok dump ->
       Obs.Log.debug "loaded %d surviving records from %s"
         (Logsys.Collected.total dump.collected)
         input;
@@ -475,17 +479,6 @@ let print_stream_summary (s : Refill.Stream.summary) =
     s.events s.segments s.flows s.complete s.incomplete s.evictions
     s.late_fragments s.forgotten_keys s.peak_frontier_events
 
-(* Open an mmap reader with the same error surface as the channel path. *)
-let open_mseg input =
-  match Logsys.Log_io.Mseg.open_file input with
-  | r -> Ok r
-  | exception Unix.Unix_error (e, _, _) ->
-      Error (Refill.Error.Io { path = input; message = Unix.error_message e })
-  | exception Sys_error message ->
-      Error (Refill.Error.Io { path = input; message })
-  | exception Failure message ->
-      Error (Refill.Error.Malformed { source = input; message })
-
 let reconstruct_batch (config : Refill.Config.t) ~global_flow ~quality input =
   match
     Refill.Error.guard ~source:input (fun () -> Logsys.Log_io.load_file input)
@@ -513,60 +506,17 @@ let reconstruct_batch (config : Refill.Config.t) ~global_flow ~quality input =
              ~emit:ignore);
       0
 
-let reconstruct_batch_mmap (config : Refill.Config.t) ~global_flow ~quality
-    input =
-  let loaded =
-    match open_mseg input with
-    | Error e -> Error e
-    | Ok reader ->
-        Refill.Error.guard ~source:input (fun () ->
-            let arena = Logsys.Arena.create () in
-            while
-              Logsys.Log_io.Mseg.next_into reader arena
-                ~max_records:config.chunk_events
-              > 0
-            do
-              ()
-            done;
-            let packets =
-              Logsys.Arena.Packets.build arena
-                ~n_nodes:(Logsys.Log_io.Mseg.n_nodes reader)
-            in
-            (packets, Logsys.Log_io.Mseg.sink reader))
-  in
-  match loaded with
-  | Error e -> err_exit e
-  | Ok (packets, sink) ->
-      let summary = ref Refill.Reconstruct.empty_summary in
-      let flows_rev = ref [] in
-      let qacc = Option.map (fun _ -> Analysis.Quality.create ()) quality in
-      Refill.Reconstruct.run_arena ~config packets ~sink ~emit:(fun f ->
-          summary := Refill.Reconstruct.summary_add !summary f;
-          Option.iter (fun acc -> Analysis.Quality.add acc f) qacc;
-          if global_flow then flows_rev := f :: !flows_rev);
-      print_packet_summary !summary;
-      (match (quality, qacc) with
-      | Some dest, Some acc -> write_quality dest (Analysis.Quality.finish acc)
-      | _ -> ());
-      if global_flow then
-        print_global_flow_stats
-          (Refill.Global_flow.merge_from ?jobs:config.jobs
-             (Refill.Global_flow.Arena_index packets)
-             ~flows:(Array.of_list (List.rev !flows_rev))
-             ~emit:ignore);
-      0
-
-(* The streaming body shared by the channel (Seg) and mmap (Mseg) readers:
-   [skip] fast-forwards the input on checkpoint resume, [feed_all]
-   drives the segment loop. *)
-let reconstruct_stream_core (config : Refill.Config.t) ~global_flow ~quality
-    ~checkpoint ~finish ~emit_file ~source ~sink ~n_nodes ~skip
-    ~(feed_all :
-       Refill_serve.Driver.t -> Refill.Global_flow.Incremental.t option -> unit)
-    =
+(* The streaming body: [Seg.skip] fast-forwards the input on checkpoint
+   resume; the segment loop feeds the driver and, with --global-flow, the
+   incremental merge. *)
+let reconstruct_stream_body (config : Refill.Config.t) ~global_flow ~quality
+    ~checkpoint ~finish ~emit_file ~source reader =
+  let sink = Logsys.Log_io.Seg.sink reader in
   let inc =
     if global_flow then
-      Some (Refill.Global_flow.Incremental.create ~n_nodes ())
+      Some
+        (Refill.Global_flow.Incremental.create
+           ~n_nodes:(Logsys.Log_io.Seg.n_nodes reader) ())
     else None
   in
   let summary = ref Refill.Reconstruct.empty_summary in
@@ -593,7 +543,7 @@ let reconstruct_stream_core (config : Refill.Config.t) ~global_flow ~quality
         | Error e -> Error e
         | Ok d ->
             let want = d.Refill_serve.Driver.processed () in
-            let skipped = skip want in
+            let skipped = Logsys.Log_io.Seg.skip reader want in
             if skipped < want then
               Error
                 (Refill.Error.Bad_checkpoint
@@ -611,52 +561,61 @@ let reconstruct_stream_core (config : Refill.Config.t) ~global_flow ~quality
             end)
     | _ -> Ok (Refill_serve.Driver.create ~config ~sink ~emit ())
   in
+  let rec feed_all (t : Refill_serve.Driver.t) =
+    match Logsys.Log_io.Seg.next reader ~max_records:config.chunk_events with
+    | None -> ()
+    | Some seg ->
+        Option.iter
+          (fun g -> Refill.Global_flow.Incremental.add_records g seg)
+          inc;
+        t.feed seg;
+        feed_all t
+  in
   let code =
     match stream_r with
     | Error e -> err_exit e
     | Ok t -> (
-        match Refill.Error.guard ~source (fun () -> feed_all t inc) with
+        match Refill.Error.guard ~source (fun () -> feed_all t) with
         | Error e -> err_exit e
         | Ok () -> (
-                  (* Checkpoint the live (pre-flush) state so a later run can
-                     resume exactly here; --finish then decides whether to
-                     flush the frontier now. *)
-                  match
-                    match checkpoint with
-                    | Some path -> t.checkpoint_file path
-                    | None -> Ok ()
-                  with
-                  | Error e -> err_exit e
-                  | Ok () ->
-                      (match checkpoint with
-                      | Some path ->
-                          Obs.Log.info "checkpoint written to %s" path
-                      | None -> ());
-                      let flush_now = finish || checkpoint = None in
-                      if flush_now then begin
-                        let s = t.finish () in
-                        print_packet_summary !summary;
-                        print_stream_summary s;
-                        (match (quality, qacc) with
-                        | Some dest, Some acc ->
-                            write_quality dest (Analysis.Quality.finish acc)
-                        | _ -> ());
-                        Option.iter
-                          (fun g ->
-                            print_global_flow_stats
-                              (Refill.Global_flow.Incremental.finish
-                                 ?jobs:config.jobs g ~emit:ignore))
-                          inc
-                      end
-                      else begin
-                        let s = t.summary () in
-                        print_stream_summary s;
-                        Obs.Log.info
-                          "frontier left open (%d buffered events); rerun \
-                           with --finish to flush"
-                          s.frontier_events
-                      end;
-                      0))
+            (* Checkpoint the live (pre-flush) state so a later run can
+               resume exactly here; --finish then decides whether to flush
+               the frontier now. *)
+            match
+              match checkpoint with
+              | Some path -> t.checkpoint_file path
+              | None -> Ok ()
+            with
+            | Error e -> err_exit e
+            | Ok () ->
+                (match checkpoint with
+                | Some path -> Obs.Log.info "checkpoint written to %s" path
+                | None -> ());
+                let flush_now = finish || checkpoint = None in
+                if flush_now then begin
+                  let s = t.finish () in
+                  print_packet_summary !summary;
+                  print_stream_summary s;
+                  (match (quality, qacc) with
+                  | Some dest, Some acc ->
+                      write_quality dest (Analysis.Quality.finish acc)
+                  | _ -> ());
+                  Option.iter
+                    (fun g ->
+                      print_global_flow_stats
+                        (Refill.Global_flow.Incremental.finish
+                           ?jobs:config.jobs g ~emit:ignore))
+                    inc
+                end
+                else begin
+                  let s = t.summary () in
+                  print_stream_summary s;
+                  Obs.Log.info
+                    "frontier left open (%d buffered events); rerun with \
+                     --finish to flush"
+                    s.frontier_events
+                end;
+                0))
   in
   esink.Refill_serve.Emit.close ();
   (match emit_file with
@@ -678,62 +637,10 @@ let reconstruct_stream (config : Refill.Config.t) ~global_flow ~quality
       with
       | Error e -> err_exit e
       | Ok reader ->
-          let feed_all (t : Refill_serve.Driver.t) inc =
-            let rec loop () =
-              match
-                Logsys.Log_io.Seg.next reader ~max_records:config.chunk_events
-              with
-              | None -> ()
-              | Some seg ->
-                  Option.iter
-                    (fun g -> Refill.Global_flow.Incremental.add_records g seg)
-                    inc;
-                  t.feed seg;
-                  loop ()
-            in
-            loop ()
-          in
-          reconstruct_stream_core config ~global_flow ~quality ~checkpoint
-            ~finish ~emit_file ~source:input
-            ~sink:(Logsys.Log_io.Seg.sink reader)
-            ~n_nodes:(Logsys.Log_io.Seg.n_nodes reader)
-            ~skip:(Logsys.Log_io.Seg.skip reader)
-            ~feed_all)
+          reconstruct_stream_body config ~global_flow ~quality ~checkpoint
+            ~finish ~emit_file ~source:input reader)
 
-let reconstruct_stream_mmap (config : Refill.Config.t) ~global_flow ~quality
-    ~checkpoint ~finish ~emit_file input =
-  match open_mseg input with
-  | Error e -> err_exit e
-  | Ok reader ->
-      (* One arena reused per chunk: clear keeps the column storage, so a
-         steady-state chunk allocates nothing on the ingest side. *)
-      let arena = Logsys.Arena.create ~capacity:config.chunk_events () in
-      let feed_all (t : Refill_serve.Driver.t) inc =
-        let rec loop () =
-          Logsys.Arena.clear arena;
-          let n =
-            Logsys.Log_io.Mseg.next_into reader arena
-              ~max_records:config.chunk_events
-          in
-          if n > 0 then begin
-            let s = Logsys.Arena.slice_all arena in
-            Option.iter
-              (fun g -> Refill.Global_flow.Incremental.add_arena g s)
-              inc;
-            t.feed_arena s;
-            loop ()
-          end
-        in
-        loop ()
-      in
-      reconstruct_stream_core config ~global_flow ~quality ~checkpoint ~finish
-        ~emit_file ~source:input
-        ~sink:(Logsys.Log_io.Mseg.sink reader)
-        ~n_nodes:(Logsys.Log_io.Mseg.n_nodes reader)
-        ~skip:(Logsys.Log_io.Mseg.skip reader)
-        ~feed_all
-
-let reconstruct obs mk_config stream mmap checkpoint finish emit_file
+let reconstruct obs mk_config stream checkpoint finish emit_file
     global_flow quality input =
   with_observability obs @@ fun () ->
   match mk_config ~provenance:(quality <> None) with
@@ -756,9 +663,8 @@ let reconstruct obs mk_config stream mmap checkpoint finish emit_file
               incremental merge needs the records from before the resume \
               point")
       else if stream then
-        (if mmap then reconstruct_stream_mmap else reconstruct_stream)
-          config ~global_flow ~quality ~checkpoint ~finish ~emit_file input
-      else if mmap then reconstruct_batch_mmap config ~global_flow ~quality input
+        reconstruct_stream config ~global_flow ~quality ~checkpoint ~finish
+          ~emit_file input
       else reconstruct_batch config ~global_flow ~quality input
 
 let reconstruct_cmd =
@@ -776,16 +682,6 @@ let reconstruct_cmd =
             "Consume the dump incrementally with bounded memory, emitting \
              each packet's flow when it goes quiet, instead of loading the \
              whole file.")
-  in
-  let mmap =
-    Arg.(
-      value & flag
-      & info [ "mmap" ]
-          ~doc:
-            "Memory-map the dump and decode record lines in place into \
-             flat arena columns (zero-copy ingest) instead of reading \
-             through a channel.  Works in batch and streaming mode; \
-             output is byte-identical to the default reader.")
   in
   let checkpoint =
     Arg.(
@@ -845,16 +741,18 @@ let reconstruct_cmd =
   Cmd.v
     (Cmd.info "reconstruct" ~doc ~man)
     Term.(
-      const reconstruct $ obs_opts_term $ config_term $ stream $ mmap
-      $ checkpoint $ finish $ emit_file $ global_flow $ provenance_arg
-      $ input)
+      const reconstruct $ obs_opts_term $ config_term $ stream $ checkpoint
+      $ finish $ emit_file $ global_flow $ provenance_arg $ input)
 
 (* -- trace -------------------------------------------------------------------- *)
 
 let trace obs input origin seq =
   with_observability obs @@ fun () ->
-  match Logsys.Log_io.load_file input with
-  | dump ->
+  match
+    Refill.Error.guard ~source:input (fun () -> Logsys.Log_io.load_file input)
+  with
+  | Error e -> err_exit e
+  | Ok dump ->
       let flow =
         Refill.Reconstruct.packet dump.collected ~origin ~seq ~sink:dump.sink
       in

@@ -1,23 +1,23 @@
-(* Flat column store for event records — the zero-copy ingest layer.
+(* Flat column store for event records — serve's wire-decode buffer.
 
    A record here is a row index into seven parallel columns (six
    Bigarray int columns plus one float64 column for the ground-truth
    timestamp) instead of a heap-allocated [Record.t] with a boxed kind
-   variant and a boxed float field.  Bulk decoding appends straight into
-   the columns, so ingesting a log allocates nothing per record; the
-   existing record API survives as a materializing view ([get]), which
-   reconstructs a [Record.equal]-identical [Record.t] on demand.
+   variant and a boxed float field.  Bulk decoding appends a binary
+   segment straight into the columns, so decoding a wire frame allocates
+   nothing per record; the record API survives as a materializing view
+   ([get]), which reconstructs a [Record.equal]-identical [Record.t] on
+   demand.  Text dumps do not come through here: they decode through
+   [Log_io.load]/[Log_io.Seg] into records.
 
    Column invariants:
-   - [tags] holds the Codec kind tag (0–7); tag order equals
-     [Protocol.label_rank], so downstream consumers map tag -> label /
-     dense FSM id with one array read.
+   - [tags] holds the Codec kind tag (0–7).
    - [peers] is meaningful only for tags 1–6 (the link kinds); peer may
      legitimately be -1 (the unknown-node sentinel).  No-peer rows store
      [no_peer] as poison.
-   - [times]/[gseqs] carry ground truth when rows come from text dumps
-     and [nan]/[-1] when rows come from the binary codec, exactly like
-     the record decoders. *)
+   - [times]/[gseqs] carry ground truth when rows are pushed from
+     records and [nan]/[-1] when rows come from the binary codec, exactly
+     like the record decoders. *)
 
 type icol = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type fcol = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -139,21 +139,6 @@ let get t i : Record.t =
     gseq = Bigarray.Array1.unsafe_get t.gseqs i;
   }
 
-(* Column-indexed [Record.equal] — no materialization.  Mirrors
-   [Record.equal] field by field, including NaN = NaN on [true_time]. *)
-let equal_record t i (r : Record.t) =
-  Bigarray.Array1.get t.nodes i = r.node
-  && Bigarray.Array1.unsafe_get t.origins i = r.origin
-  && Bigarray.Array1.unsafe_get t.seqs i = r.pkt_seq
-  && Bigarray.Array1.unsafe_get t.gseqs i = r.gseq
-  && (let ta = Bigarray.Array1.unsafe_get t.times i in
-      ta = r.true_time || (Float.is_nan ta && Float.is_nan r.true_time))
-  && Bigarray.Array1.unsafe_get t.tags i = Codec.tag_of_kind r.kind
-  &&
-  let tg = Bigarray.Array1.unsafe_get t.tags i in
-  tg < 1 || tg > 6
-  || Some (Bigarray.Array1.unsafe_get t.peers i) = Codec.peer_of_kind r.kind
-
 let of_records records =
   let t = create ~capacity:(max 16 (Array.length records)) () in
   Array.iter (push t) records;
@@ -249,170 +234,3 @@ let decode_segment_into t b =
   if !pos <> blen then failwith "Arena: trailing bytes in segment";
   Refill_obs.Metrics.Counter.inc ~by:count c_decoded_rows;
   count
-
-(* -- Per-packet index over rows (the column analogue of Collected). ------ *)
-
-module Packets = struct
-  (* Same dense-2D-plus-fallback shape as Collected's index, but the
-     buckets hold arena row indices instead of record pointers, and the
-     node grouping ([node_rows]) replaces [Collected.node_log]. *)
-  type 'a rows = { mutable by_origin : 'a array array }
-
-  type t = {
-    p_arena : arena;
-    p_n_nodes : int;
-    p_keys : (int * int) list;
-    p_rows : int array rows;
-    p_fallback : (int * int, int array) Hashtbl.t;
-    p_node_rows : int array array;
-  }
-
-  let sparse_limit = 1 lsl 28
-
-  let dense ~origin ~seq =
-    origin >= 0 && origin < sparse_limit && seq >= 0 && seq < sparse_limit
-
-  let row_get (rows : 'a rows) ~absent origin seq =
-    let by_origin = rows.by_origin in
-    if origin >= Array.length by_origin then absent
-    else
-      let row = by_origin.(origin) in
-      if seq >= Array.length row then absent else row.(seq)
-
-  let row_set (rows : 'a rows) ~absent origin seq v =
-    let by_origin = rows.by_origin in
-    let by_origin =
-      if origin < Array.length by_origin then by_origin
-      else begin
-        let grown =
-          Array.make (max (origin + 1) (2 * Array.length by_origin)) [||]
-        in
-        Array.blit by_origin 0 grown 0 (Array.length by_origin);
-        rows.by_origin <- grown;
-        grown
-      end
-    in
-    let row = by_origin.(origin) in
-    let row =
-      if seq < Array.length row then row
-      else begin
-        let grown =
-          Array.make (max (seq + 1) (max 64 (2 * Array.length row))) absent
-        in
-        Array.blit row 0 grown 0 (Array.length row);
-        by_origin.(origin) <- grown;
-        grown
-      end
-    in
-    row.(seq) <- v
-
-  let build (a : arena) ~n_nodes =
-    if n_nodes <= 0 then invalid_arg "Arena.Packets.build: n_nodes <= 0";
-    let n = a.len in
-    (* Node grouping: rows of each node in arena (= file/write) order,
-       exactly the per-node log order [Collected.node_log] exposes. *)
-    let node_count = Array.make n_nodes 0 in
-    for i = 0 to n - 1 do
-      let nd = Bigarray.Array1.unsafe_get a.nodes i in
-      if nd < 0 || nd >= n_nodes then
-        failwith "Arena: record node out of range";
-      node_count.(nd) <- node_count.(nd) + 1
-    done;
-    let node_rows = Array.map (fun c -> Array.make c 0) node_count in
-    let node_fill = Array.make n_nodes 0 in
-    for i = 0 to n - 1 do
-      let nd = Bigarray.Array1.unsafe_get a.nodes i in
-      node_rows.(nd).(node_fill.(nd)) <- i;
-      node_fill.(nd) <- node_fill.(nd) + 1
-    done;
-    (* Packet buckets, filled in node-scan order (nodes ascending, each
-       node's rows in order) — the order [Collected.packet_records]
-       guarantees and the reconstruction depends on.  Two counted passes,
-       the counts doubling as fill cursors. *)
-    let counts : int rows = { by_origin = [||] } in
-    let fb_counts : (int * int, int ref) Hashtbl.t = Hashtbl.create 8 in
-    let scan f = Array.iter (fun rows -> Array.iter f rows) node_rows in
-    scan (fun i ->
-        let origin = Bigarray.Array1.unsafe_get a.origins i
-        and seq = Bigarray.Array1.unsafe_get a.seqs i in
-        if dense ~origin ~seq then
-          row_set counts ~absent:0 origin seq
-            (row_get counts ~absent:0 origin seq + 1)
-        else
-          match Hashtbl.find_opt fb_counts (origin, seq) with
-          | Some c -> incr c
-          | None -> Hashtbl.add fb_counts (origin, seq) (ref 1));
-    let buckets : int array rows = { by_origin = [||] } in
-    let fallback = Hashtbl.create (max 8 (Hashtbl.length fb_counts)) in
-    scan (fun i ->
-        let origin = Bigarray.Array1.unsafe_get a.origins i
-        and seq = Bigarray.Array1.unsafe_get a.seqs i in
-        if dense ~origin ~seq then begin
-          let arr =
-            match row_get buckets ~absent:[||] origin seq with
-            | [||] ->
-                let c = row_get counts ~absent:0 origin seq in
-                let arr = Array.make c 0 in
-                row_set buckets ~absent:[||] origin seq arr;
-                row_set counts ~absent:0 origin seq 0;
-                arr
-            | arr -> arr
-          in
-          let fill = row_get counts ~absent:0 origin seq in
-          arr.(fill) <- i;
-          row_set counts ~absent:0 origin seq (fill + 1)
-        end
-        else begin
-          let cr = Hashtbl.find fb_counts (origin, seq) in
-          let arr =
-            match Hashtbl.find_opt fallback (origin, seq) with
-            | Some arr -> arr
-            | None ->
-                let arr = Array.make !cr 0 in
-                Hashtbl.add fallback (origin, seq) arr;
-                cr := 0;
-                arr
-          in
-          arr.(!cr) <- i;
-          incr cr
-        end);
-    let keys_rev = ref [] in
-    Array.iteri
-      (fun origin row ->
-        Array.iteri
-          (fun seq (arr : int array) ->
-            if Array.length arr > 0 then keys_rev := (origin, seq) :: !keys_rev)
-          row)
-      buckets.by_origin;
-    let fallback_keys =
-      Hashtbl.fold (fun key _ acc -> key :: acc) fallback []
-    in
-    let keys =
-      match fallback_keys with
-      | [] -> List.rev !keys_rev
-      | fk -> List.merge compare (List.rev !keys_rev) (List.sort compare fk)
-    in
-    {
-      p_arena = a;
-      p_n_nodes = n_nodes;
-      p_keys = keys;
-      p_rows = buckets;
-      p_fallback = fallback;
-      p_node_rows = node_rows;
-    }
-
-  let arena p = p.p_arena
-
-  let n_nodes p = p.p_n_nodes
-
-  let keys p = p.p_keys
-
-  let node_rows p node = p.p_node_rows.(node)
-
-  let packet_rows p ~origin ~seq =
-    if dense ~origin ~seq then row_get p.p_rows ~absent:[||] origin seq
-    else
-      match Hashtbl.find_opt p.p_fallback (origin, seq) with
-      | Some arr -> arr
-      | None -> [||]
-end

@@ -1,4 +1,4 @@
-(** Flat column store for event records — the zero-copy ingest layer.
+(** Flat column store for event records — serve's wire-decode buffer.
 
     Records live as packed int fields in parallel Bigarray columns (node,
     kind tag, peer, origin, seq, gseq) plus a float64 column for the
@@ -6,15 +6,12 @@
     decoders append an encoded log or segment straight into the columns
     with no intermediate [Record.t]; the record API survives as a
     materializing view ({!get}), which yields a [Record.equal]-identical
-    record for any row, so record-based and arena-based pipelines produce
-    byte-identical output.
+    record for any row, so a consumer fed materialized rows produces
+    byte-identical output to one fed the original records.
 
-    API rule of thumb: hot loops index columns ({!node}, {!tag}, …, or
-    {!equal_record}); anything that stores or prints an event
-    materializes it once via {!get}.  Kind tags are the stable
-    {!Codec.tag_of_kind} values, whose order equals
-    [Refill.Protocol.label_rank] — consumers map tag → label / dense FSM
-    id with one array read. *)
+    Text dumps do not use the arena: they decode through {!Log_io.load}
+    and {!Log_io.Seg} into records.  Kind tags are the stable
+    {!Codec.tag_of_kind} values. *)
 
 type t
 
@@ -54,10 +51,6 @@ val get : t -> int -> Record.t
 (** Materialize row [i] as a record — [Record.equal]-identical to the
     record the row was built from.  @raise Invalid_argument out of
     bounds. *)
-
-val equal_record : t -> int -> Record.t -> bool
-(** [equal_record t i r] = [Record.equal (get t i) r], without
-    materializing (NaN times compare equal, like [Record.equal]). *)
 
 val push : t -> Record.t -> unit
 
@@ -103,32 +96,3 @@ val decode_log_into : t -> node:int -> Bytes.t -> int
 val decode_segment_into : t -> Bytes.t -> int
 (** Append a cross-node segment ({!Codec.encode_segment}); returns the
     number of rows appended. *)
-
-(** {2 Per-packet index}
-
-    The column analogue of {!Collected}: packet buckets hold arena row
-    indices in node-scan order (nodes ascending, each node's rows in
-    arena order), and {!node_rows} replaces [Collected.node_log].  Built
-    once, read-only afterwards — safe to share across domains. *)
-module Packets : sig
-  type t
-
-  val build : arena -> n_nodes:int -> t
-  (** @raise Failure when a row's node is outside [0, n_nodes);
-      [Invalid_argument] when [n_nodes <= 0]. *)
-
-  val arena : t -> arena
-
-  val n_nodes : t -> int
-
-  val keys : t -> (int * int) list
-  (** Distinct [(origin, seq)] keys, sorted — same contents and order as
-      [Collected.packet_keys] over the same records. *)
-
-  val node_rows : t -> int -> int array
-  (** One node's rows in arena order — its log, as row indices. *)
-
-  val packet_rows : t -> origin:int -> seq:int -> int array
-  (** One packet's rows, node-scan order; [[||]] for unknown keys.
-      Shared with the index — do not mutate. *)
-end

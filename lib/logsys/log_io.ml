@@ -28,9 +28,33 @@ let kind_of_fields name peer : Record.kind =
   | "deliver", None -> Deliver
   | _ -> failwith (Printf.sprintf "Log_io: malformed kind %S" name)
 
+(* Decimal integers only: an optional '-' then digits.  [int_of_string]
+   would also take "0x1", "1_0", "+3", "0b11" and "0u5" and silently
+   reinterpret them.  One pass, no allocation on success; the value
+   accumulates negatively so [min_int] parses and anything past the int
+   range is rejected, never wrapped. *)
+let int_of_decimal s =
+  let len = String.length s in
+  let neg = len > 0 && String.unsafe_get s 0 = '-' in
+  let start = if neg then 1 else 0 in
+  let limit = min_int / 10 and last_digit = -(min_int mod 10) in
+  let acc = ref 0 and i = ref start and ok = ref (len > start) in
+  while !ok && !i < len do
+    let d = Char.code (String.unsafe_get s !i) - Char.code '0' in
+    if d < 0 || d > 9 || !acc < limit || (!acc = limit && d > last_digit)
+    then ok := false
+    else begin
+      acc := (!acc * 10) - d;
+      incr i
+    end
+  done;
+  if (not !ok) || ((not neg) && !acc = min_int) then
+    failwith (Printf.sprintf "Log_io: bad integer %S" s);
+  if neg then !acc else - !acc
+
 let peer_str = function None -> "-" | Some p -> string_of_int p
 
-let peer_of_str = function "-" -> None | s -> Some (int_of_string s)
+let peer_of_str = function "-" -> None | s -> Some (int_of_decimal s)
 
 let record_to_line (r : Record.t) =
   let kind, peer = kind_fields r.kind in
@@ -50,12 +74,12 @@ let record_of_line line =
   match String.split_on_char ' ' line with
   | [ "r"; node; kind; peer; origin; seq; time; gseq ] ->
       ({
-         node = int_of_string node;
+         node = int_of_decimal node;
          kind = kind_of_fields kind (peer_of_str peer);
-         origin = int_of_string origin;
-         pkt_seq = int_of_string seq;
+         origin = int_of_decimal origin;
+         pkt_seq = int_of_decimal seq;
          true_time = float_of_string time;
-         gseq = int_of_string gseq;
+         gseq = int_of_decimal gseq;
        }
         : Record.t)
   | _ -> failwith (Printf.sprintf "Log_io: malformed record line %S" line)
@@ -77,10 +101,10 @@ let fate_of_line line =
       in
       let path =
         if path = "" then []
-        else String.split_on_char ',' path |> List.map int_of_string
+        else String.split_on_char ',' path |> List.map int_of_decimal
       in
-      ( int_of_string origin,
-        int_of_string seq,
+      ( int_of_decimal origin,
+        int_of_decimal seq,
         ({
            cause;
            loss_node = peer_of_str loss_node;
@@ -122,23 +146,28 @@ let save_file path ~sink ?truth ?time_order collected =
 
 let header_value line prefix =
   match String.split_on_char ' ' line with
-  | [ h; key; v ] when h = "#" && key = prefix -> Some (int_of_string v)
+  | [ h; key; v ] when h = "#" && key = prefix -> Some (int_of_decimal v)
   | _ -> None
 
-let load ic =
-  let first = input_line ic in
+(* The three header lines, shared by [load] and [Seg]: (nodes, sink).  An
+   input that ends inside the header is malformed like any other, not an
+   [End_of_file] escaping to the caller. *)
+let read_header ic =
+  let line () = try input_line ic with End_of_file -> "" in
+  let first = line () in
   if first <> "# refill-log v1" then
     failwith (Printf.sprintf "Log_io: bad header %S" first);
   let n_nodes =
-    match header_value (input_line ic) "nodes" with
+    match header_value (line ()) "nodes" with
     | Some n when n > 0 -> n
     | _ -> failwith "Log_io: missing nodes header"
   in
-  let sink =
-    match header_value (input_line ic) "sink" with
-    | Some s -> s
-    | None -> failwith "Log_io: missing sink header"
-  in
+  match header_value (line ()) "sink" with
+  | Some sink -> (n_nodes, sink)
+  | None -> failwith "Log_io: missing sink header"
+
+let load ic =
+  let n_nodes, sink = read_header ic in
   let logs_rev = Array.make n_nodes [] in
   let truth = Truth.create () in
   let has_truth = ref false in
@@ -185,19 +214,7 @@ module Seg = struct
   }
 
   let of_channel ic =
-    let first = input_line ic in
-    if first <> "# refill-log v1" then
-      failwith (Printf.sprintf "Log_io: bad header %S" first);
-    let seg_n_nodes =
-      match header_value (input_line ic) "nodes" with
-      | Some n when n > 0 -> n
-      | _ -> failwith "Log_io: missing nodes header"
-    in
-    let seg_sink =
-      match header_value (input_line ic) "sink" with
-      | Some s -> s
-      | None -> failwith "Log_io: missing sink header"
-    in
+    let seg_n_nodes, seg_sink = read_header ic in
     { ic; seg_n_nodes; seg_sink; eof = false; seg_read = 0 }
 
   let n_nodes r = r.seg_n_nodes
@@ -252,217 +269,6 @@ module Seg = struct
     let skipped = ref 0 in
     while !skipped < n && next_record r <> None do
       incr skipped
-    done;
-    !skipped
-end
-
-(* -- Mmap-backed segment reader ------------------------------------------ *)
-
-(* Same on-disk format and chunked consumption contract as {!Seg}, but the
-   file is memory-mapped ([Unix.map_file]) and record lines are parsed
-   in place, decoding straight into arena columns: no input-channel
-   buffering, no per-line strings, no per-record allocation except the
-   time token (handed to [float_of_string] so the parse is bit-identical
-   to {!record_of_line}'s). *)
-module Mseg = struct
-  type map = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-  type reader = {
-    map : map;
-    mlen : int;
-    mutable pos : int;
-    mm_n_nodes : int;
-    mm_sink : int;
-    mutable mm_read : int;
-  }
-
-  let geti (m : map) i = Bigarray.Array1.unsafe_get m i
-
-  let line_end m mlen pos =
-    let i = ref pos in
-    while !i < mlen && geti m !i <> '\n' do
-      incr i
-    done;
-    !i
-
-  let substring m a b = String.init (b - a) (fun i -> geti m (a + i))
-
-  let malformed_line m a b =
-    failwith (Printf.sprintf "Log_io: malformed line %S" (substring m a b))
-
-  let open_file path =
-    let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-    let map, mlen =
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () ->
-          let size = (Unix.fstat fd).Unix.st_size in
-          if size = 0 then failwith "Log_io: bad header \"\"";
-          ( Bigarray.array1_of_genarray
-              (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| -1 |]),
-            size ))
-    in
-    (* The three header lines are parsed as strings — they are the only
-       lines that ever materialize. *)
-    let pos = ref 0 in
-    let next_line () =
-      let e = line_end map mlen !pos in
-      let s = substring map !pos e in
-      pos := e + 1;
-      s
-    in
-    let first = next_line () in
-    if first <> "# refill-log v1" then
-      failwith (Printf.sprintf "Log_io: bad header %S" first);
-    let mm_n_nodes =
-      match header_value (next_line ()) "nodes" with
-      | Some n when n > 0 -> n
-      | _ -> failwith "Log_io: missing nodes header"
-    in
-    let mm_sink =
-      match header_value (next_line ()) "sink" with
-      | Some s -> s
-      | None -> failwith "Log_io: missing sink header"
-    in
-    { map; mlen; pos = !pos; mm_n_nodes; mm_sink; mm_read = 0 }
-
-  let n_nodes r = r.mm_n_nodes
-
-  let sink r = r.mm_sink
-
-  let read r = r.mm_read
-
-  (* Decode one [r ...] line spanning [a, eol) into [arena].  Cursor-based
-     field parsing; any shape violation reports the whole line, like
-     {!record_of_line}. *)
-  let parse_record_line r arena a eol =
-    let m = r.map in
-    let p = ref (a + 1) in
-    let fail () = malformed_line m a eol in
-    let expect_space () =
-      if !p >= eol || geti m !p <> ' ' then fail ();
-      incr p
-    in
-    let parse_int () =
-      let neg = !p < eol && geti m !p = '-' in
-      if neg then incr p;
-      if !p >= eol then fail ();
-      (match geti m !p with '0' .. '9' -> () | _ -> fail ());
-      let v = ref 0 in
-      let continue = ref true in
-      while !continue && !p < eol do
-        match geti m !p with
-        | '0' .. '9' as c ->
-            v := (!v * 10) + (Char.code c - Char.code '0');
-            incr p
-        | _ -> continue := false
-      done;
-      if neg then - !v else !v
-    in
-    let token_end () =
-      let e = ref !p in
-      while !e < eol && geti m !e <> ' ' do
-        incr e
-      done;
-      !e
-    in
-    let tok_eq a b s =
-      b - a = String.length s
-      &&
-      let rec go i = i >= String.length s || (geti m (a + i) = s.[i] && go (i + 1)) in
-      go 0
-    in
-    expect_space ();
-    let node = parse_int () in
-    expect_space ();
-    let ka = !p in
-    let kb = token_end () in
-    let tag =
-      if tok_eq ka kb "gen" then 0
-      else if tok_eq ka kb "recv" then 1
-      else if tok_eq ka kb "dup" then 2
-      else if tok_eq ka kb "overflow" then 3
-      else if tok_eq ka kb "trans" then 4
-      else if tok_eq ka kb "ack" then 5
-      else if tok_eq ka kb "timeout" then 6
-      else if tok_eq ka kb "deliver" then 7
-      else fail ()
-    in
-    p := kb;
-    expect_space ();
-    (* Peer: "-" alone means none; "-3" is a negative peer. *)
-    let no_peer =
-      !p < eol && geti m !p = '-' && (!p + 1 >= eol || geti m (!p + 1) = ' ')
-    in
-    let peer =
-      if no_peer then begin
-        incr p;
-        min_int
-      end
-      else parse_int ()
-    in
-    (* Kind/peer consistency, as [kind_of_fields] enforces. *)
-    if tag = 0 || tag = 7 then begin
-      if not no_peer then fail ()
-    end
-    else if no_peer then fail ();
-    expect_space ();
-    let origin = parse_int () in
-    expect_space ();
-    let seq = parse_int () in
-    expect_space ();
-    let ta = !p in
-    let tb = token_end () in
-    if tb = ta then fail ();
-    let time =
-      match float_of_string_opt (substring m ta tb) with
-      | Some f -> f
-      | None -> fail ()
-    in
-    p := tb;
-    expect_space ();
-    let gseq = parse_int () in
-    if !p <> eol then fail ();
-    if node < 0 || node >= r.mm_n_nodes then
-      failwith "Log_io: record node out of range";
-    Arena.push_row arena ~node ~tag ~peer ~origin ~pkt_seq:seq ~true_time:time
-      ~gseq
-
-  let next_into r arena ~max_records =
-    if max_records <= 0 then
-      invalid_arg "Log_io.Mseg.next_into: max_records <= 0";
-    let count = ref 0 in
-    while !count < max_records && r.pos < r.mlen do
-      let a = r.pos in
-      let eol = line_end r.map r.mlen a in
-      (if eol > a then
-         match geti r.map a with
-         | 'r' ->
-             parse_record_line r arena a eol;
-             r.mm_read <- r.mm_read + 1;
-             incr count
-         | 't' | '#' -> ()
-         | _ -> malformed_line r.map a eol);
-      r.pos <- eol + 1
-    done;
-    !count
-
-  (* Fast-forward without decoding: classify lines and count the record
-     ones.  Skipped lines are not validated beyond their leading byte —
-     a resumed run already processed them. *)
-  let skip r n =
-    let skipped = ref 0 in
-    while !skipped < n && r.pos < r.mlen do
-      let a = r.pos in
-      let eol = line_end r.map r.mlen a in
-      (if eol > a then
-         match geti r.map a with
-         | 'r' ->
-             r.mm_read <- r.mm_read + 1;
-             incr skipped
-         | 't' | '#' -> ()
-         | _ -> malformed_line r.map a eol);
-      r.pos <- eol + 1
     done;
     !skipped
 end

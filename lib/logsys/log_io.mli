@@ -43,8 +43,8 @@ val save_file :
   unit
 
 val load : in_channel -> dump
-(** @raise Failure on a malformed dump (bad header, unknown kind/cause,
-    wrong field count). *)
+(** @raise Failure on a malformed dump (bad, truncated or missing header,
+    unknown kind/cause, wrong field count, non-decimal integer). *)
 
 val load_file : string -> dump
 
@@ -52,7 +52,15 @@ val record_to_line : Record.t -> string
 (** The [r ...] line for one record (without trailing newline). *)
 
 val record_of_line : string -> Record.t
-(** @raise Failure on malformed input. *)
+(** @raise Failure on malformed input, including an integer field that is
+    not plain decimal (see {!int_of_decimal}). *)
+
+val int_of_decimal : string -> int
+(** An optional [-] followed by decimal digits — the only integer syntax a
+    dump or checkpoint holds.  Unlike [int_of_string] it rejects
+    ["0x1"], ["1_0"], ["+3"], ["0b11"] and ["0u5"] instead of
+    reinterpreting them.
+    @raise Failure on any other input or a value outside the int range. *)
 
 val record_to_line_exact : Record.t -> string
 (** Like {!record_to_line} but with the time field in hexadecimal float
@@ -69,7 +77,7 @@ module Seg : sig
   val of_channel : in_channel -> reader
   (** Parse the three header lines and position the reader at the first
       record.  The channel stays owned by the caller.
-      @raise Failure on a malformed header. *)
+      @raise Failure on a malformed, truncated or missing header. *)
 
   val n_nodes : reader -> int
 
@@ -88,41 +96,4 @@ module Seg : sig
   (** [skip r n] discards up to [n] records and returns how many were
       actually skipped (fewer only at end of input) — how a resumed
       streaming run fast-forwards past already-processed records. *)
-end
-
-(** Mmap-backed segmented reading: the same dump format and chunked
-    contract as {!Seg}, but the file is memory-mapped and record lines
-    decode in place straight into {!Arena} columns — no channel
-    buffering, no per-line strings, no per-record allocation (except the
-    time token, parsed by [float_of_string] so times load bit-identically
-    to {!record_of_line}).  This is the [--mmap] ingest path. *)
-module Mseg : sig
-  type reader
-
-  val open_file : string -> reader
-  (** Map the file and parse the three header lines.  The file descriptor
-      is closed before returning (the mapping persists until the reader
-      is collected).
-      @raise Failure on a malformed header; [Unix.Unix_error] when the
-      file cannot be opened. *)
-
-  val n_nodes : reader -> int
-
-  val sink : reader -> Net.Packet.node_id
-
-  val read : reader -> int
-  (** Records decoded (or skipped) so far, like {!Seg.read}. *)
-
-  val next_into : reader -> Arena.t -> max_records:int -> int
-  (** Decode up to [max_records] further records into the arena (appended
-      as rows); returns how many were appended — [0] only at end of
-      input.  Truth and comment lines are skipped.
-      @raise Failure on a malformed or out-of-node-range record line,
-      [Invalid_argument] if [max_records <= 0]. *)
-
-  val skip : reader -> int -> int
-  (** [skip r n] fast-forwards past up to [n] record lines without
-      decoding them (they are not validated beyond line classification)
-      and returns how many were skipped — how a resumed [--mmap] run
-      fast-forwards, mirroring {!Seg.skip}. *)
 end

@@ -142,14 +142,7 @@ let csr_restore off =
   done;
   off.(0) <- 0
 
-(* Where the merge reads per-node logs from: a record snapshot, or an
-   arena-indexed packet index (columns; the alignment never materializes
-   a record). *)
-type log_source =
-  | Snapshot of Logsys.Collected.t
-  | Arena_index of Logsys.Arena.Packets.t
-
-let merge_untimed ?jobs ?emit_prov source ~(flows : Flow.t array)
+let merge_untimed ?jobs ?emit_prov collected ~(flows : Flow.t array)
     ~emit:emit_item =
   (* ---- Pass 1: count items and intern every flow's packet. ---- *)
   let n_flows = Array.length flows in
@@ -233,11 +226,7 @@ let merge_untimed ?jobs ?emit_prov source ~(flows : Flow.t array)
        fill needs no second lookup.  The node component of the slot key
        partitions slots across nodes, which is what lets the alignment
        below run per-node in parallel. ---- *)
-    let n_nodes =
-      match source with
-      | Snapshot c -> Logsys.Collected.n_nodes c
-      | Arena_index p -> Logsys.Arena.Packets.n_nodes p
-    in
+    let n_nodes = Logsys.Collected.n_nodes collected in
     let slots = Prelude.Int_table.create (n / 3) in
     let slot_of = Array.make n (-1) in
     for id = 0 to n - 1 do
@@ -277,11 +266,6 @@ let merge_untimed ?jobs ?emit_prov source ~(flows : Flow.t array)
        so nodes fan out across domains; interner and slot reads are
        lookups into tables no longer being written. ---- *)
     let q_cursor = Array.make (max 1 n_slots) 0 in
-    (* One alignment body per source shape (both monomorphic hot loops):
-       identical slot/cursor/anchor logic, differing only in how a log
-       entry's key is read and how it is compared against a payload —
-       record fields vs column reads ([Arena.equal_record] never
-       materializes). *)
     (* The slot of packet [(origin, seq)] on [node] while its run still
        has an unmatched candidate, else [-1]. *)
     let head_of ~node ~origin ~seq =
@@ -293,17 +277,7 @@ let merge_untimed ?jobs ?emit_prov source ~(flows : Flow.t array)
         then -1
         else slot
     in
-    (* [id], the head of [slot]'s run, matched log entry [log_idx]. *)
-    let take slot id ~log_idx ~len ~edges ~last =
-      q_cursor.(slot) <- q_cursor.(slot) + 1;
-      anchors.(id) <- float_of_int log_idx /. len;
-      (* Distinct ids per node: safe to write from the per-node workers,
-         like [anchors] above. *)
-      if want_prov then aligned.(id) <- true;
-      if !last >= 0 then ibuf_push2 edges !last id;
-      last := id
-    in
-    let align_snapshot collected node =
+    let align node =
       let log = Logsys.Collected.node_log collected node in
       let len = float_of_int (max 1 (Array.length log)) in
       let edges = ibuf_create () in
@@ -315,38 +289,17 @@ let merge_untimed ?jobs ?emit_prov source ~(flows : Flow.t array)
             let id = q_ids.(q_off.(slot) + q_cursor.(slot)) in
             match items.(id).Engine.payload with
             | Some r' when Logsys.Record.equal r r' ->
-                take slot id ~log_idx ~len ~edges ~last
+                q_cursor.(slot) <- q_cursor.(slot) + 1;
+                anchors.(id) <- float_of_int log_idx /. len;
+                (* Distinct ids per node: safe to write from the per-node
+                   workers, like [anchors] above. *)
+                if want_prov then aligned.(id) <- true;
+                if !last >= 0 then ibuf_push2 edges !last id;
+                last := id
             | Some _ | None -> ()
           end)
         log;
       edges
-    in
-    let align_arena packets arena node =
-      let rows = Logsys.Arena.Packets.node_rows packets node in
-      let len = float_of_int (max 1 (Array.length rows)) in
-      let edges = ibuf_create () in
-      let last = ref (-1) in
-      Array.iteri
-        (fun log_idx row ->
-          let slot =
-            head_of ~node
-              ~origin:(Logsys.Arena.origin arena row)
-              ~seq:(Logsys.Arena.pkt_seq arena row)
-          in
-          if slot >= 0 then begin
-            let id = q_ids.(q_off.(slot) + q_cursor.(slot)) in
-            match items.(id).Engine.payload with
-            | Some r' when Logsys.Arena.equal_record arena row r' ->
-                take slot id ~log_idx ~len ~edges ~last
-            | Some _ | None -> ()
-          end)
-        rows;
-      edges
-    in
-    let align =
-      match source with
-      | Snapshot c -> align_snapshot c
-      | Arena_index p -> align_arena p (Logsys.Arena.Packets.arena p)
     in
     let jobs =
       match jobs with Some j -> max 1 j | None -> Par.default_jobs ()
@@ -518,10 +471,10 @@ let merge_untimed ?jobs ?emit_prov source ~(flows : Flow.t array)
     stats
   end
 
-let merge_from ?jobs ?emit_prov source ~flows ~emit =
+let merge ?jobs ?emit_prov collected ~flows ~emit =
   let run () =
     let t0 = Obs.Span.now_us () in
-    let stats = merge_untimed ?jobs ?emit_prov source ~flows ~emit in
+    let stats = merge_untimed ?jobs ?emit_prov collected ~flows ~emit in
     Par.with_obs_lock (fun () ->
         Obs.Metrics.Histogram.observe h_seconds
           ((Obs.Span.now_us () -. t0) /. 1e6));
@@ -532,9 +485,6 @@ let merge_from ?jobs ?emit_prov source ~flows ~emit =
       ~attrs:[ ("flows", string_of_int (Array.length flows)) ]
       run
   else run ()
-
-let merge ?jobs ?emit_prov collected ~flows ~emit =
-  merge_from ?jobs ?emit_prov (Snapshot collected) ~flows ~emit
 
 (* -- Incremental merge mode ------------------------------------------------ *)
 
@@ -572,17 +522,6 @@ module Incremental = struct
           t.logs_rev.(r.node) <- r :: t.logs_rev.(r.node)
         end)
       records
-
-  let add_arena t (s : Logsys.Arena.slice) =
-    let a = s.Logsys.Arena.sl_base in
-    for i = s.Logsys.Arena.sl_off to s.Logsys.Arena.sl_off + s.Logsys.Arena.sl_len - 1
-    do
-      let node = Logsys.Arena.node a i in
-      if node >= 0 then begin
-        ensure_node t node;
-        t.logs_rev.(node) <- Logsys.Arena.get a i :: t.logs_rev.(node)
-      end
-    done
 
   let add_flow t flow =
     t.flows_rev <- flow :: t.flows_rev;

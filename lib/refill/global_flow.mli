@@ -26,14 +26,6 @@ type stats = {
           per-packet linearization (concurrency, not error). *)
 }
 
-(** Where the merge reads per-node logs from: a record snapshot, or an
-    arena-indexed packet index, whose alignment pass reads columns and
-    never materializes a record.  Over the same records (and the same
-    node count) both sources yield identical emission sequences. *)
-type log_source =
-  | Snapshot of Logsys.Collected.t
-  | Arena_index of Logsys.Arena.Packets.t
-
 val merge :
   ?jobs:int ->
   ?emit_prov:(Provenance.t -> unit) ->
@@ -45,8 +37,7 @@ val merge :
     item to [emit], in global-flow order.  [collected] must be the same
     snapshot the flows were reconstructed from (its per-node logs provide
     the cross-packet constraints).  Every flow's items appear in their
-    original relative order.  {!merge_from} generalizes it over the log
-    source, and {!Incremental} feeds it from a stream.
+    original relative order.  {!Incremental} feeds it from a stream.
 
     [jobs] caps the domain fan-out of the per-node log alignment (default
     {!Par.default_jobs}; small inputs stay serial).  The emission sequence
@@ -59,18 +50,6 @@ val merge :
     {!Provenance.Stall_recovery} and a logged event whose record never
     aligned with its node's log becomes {!Provenance.Anchor_carry}.
     Evidence indices stay in their packet's own record-index space. *)
-
-val merge_from :
-  ?jobs:int ->
-  ?emit_prov:(Provenance.t -> unit) ->
-  log_source ->
-  flows:Flow.t array ->
-  emit:(Flow.item -> unit) ->
-  stats
-(** {!merge} generalized over the log source; [merge c] =
-    [merge_from (Snapshot c)].  With [Arena_index], the source must index
-    the same records the flows were reconstructed from
-    ({!Reconstruct.run_arena} over the same index). *)
 
 (** Incremental merge mode for the streaming pipeline: accumulate record
     segments and evicted flows as they arrive, then run the batch merge
@@ -89,10 +68,6 @@ module Incremental : sig
   (** Append a stream segment.  Segments must preserve each node's local
       record order across calls; records with a negative node id are
       ignored. *)
-
-  val add_arena : t -> Logsys.Arena.slice -> unit
-  (** {!add_records} over an arena slice; rows materialize only as they
-      are appended to their node's accumulator. *)
 
   val add_flow : t -> Flow.t -> unit
   (** Register one evicted flow (in eviction order). *)

@@ -40,23 +40,6 @@ val of_records :
     {!Logsys.Collected.packet_records} returns them; the engine takes
     ownership of the array. *)
 
-val of_arena :
-  ?use_intra:bool ->
-  ?use_inter:bool ->
-  ?provenance:bool ->
-  Logsys.Arena.t ->
-  rows:int array ->
-  origin:int ->
-  seq:int ->
-  sink:int ->
-  Flow.t
-(** {!of_records} over arena rows — the zero-copy ingest path.  [rows]
-    must be the packet's node-scan-order row indices
-    ({!Logsys.Arena.Packets.packet_rows}).  The flow is structurally
-    identical to {!of_records} over the materialized rows: event packing
-    and peer recovery read columns, payloads materialize once per emitted
-    slot. *)
-
 val run :
   ?config:Config.t ->
   Logsys.Collected.t ->
@@ -77,17 +60,6 @@ val run :
     enabled, or when the workload is too small to amortize a domain spawn;
     on the parallel path flows are buffered and [emit] is called after the
     join, still in key order. *)
-
-val run_arena :
-  ?config:Config.t ->
-  Logsys.Arena.Packets.t ->
-  sink:int ->
-  emit:(Flow.t -> unit) ->
-  unit
-(** {!run} over an arena-indexed packet index: same key order,
-    parallelization policy, spans and metrics; flows are structurally
-    identical to the record path's.  The index (and its arena) must be
-    fully built — it is shared read-only across worker domains. *)
 
 type summary = {
   packets : int;

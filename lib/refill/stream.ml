@@ -461,9 +461,10 @@ let fresh_rshard () =
 let int_field line key =
   match String.split_on_char ' ' line with
   | [ "#"; k; v ] when k = key -> (
-      match int_of_string_opt v with
-      | Some n -> n
-      | None -> failwith (Printf.sprintf "Stream: bad %s value %S" key v))
+      match Logsys.Log_io.int_of_decimal v with
+      | n -> n
+      | exception Failure _ ->
+          failwith (Printf.sprintf "Stream: bad %s value %S" key v))
   | _ -> failwith (Printf.sprintf "Stream: expected '# %s N', got %S" key line)
 
 let flag_field line key =
@@ -490,26 +491,26 @@ let parse_shard_body rs ~v1_trigger next_line peek_line =
         else
           match line.[0] with
           | 'e' -> (
+              (* Checkpoint integers are plain decimal, like the dump's. *)
+              let int = Logsys.Log_io.int_of_decimal in
               match (String.split_on_char ' ' line, v1_trigger) with
               | [ "e"; origin; seq; trigger ], None ->
                   rs.rs_evicted <-
-                    ( (int_of_string origin, int_of_string seq),
-                      int_of_string trigger )
-                    :: rs.rs_evicted
+                    ((int origin, int seq), int trigger) :: rs.rs_evicted
               | [ "e"; origin; seq ], Some trigger ->
                   rs.rs_evicted <-
-                    ((int_of_string origin, int_of_string seq), trigger)
-                    :: rs.rs_evicted
+                    ((int origin, int seq), trigger) :: rs.rs_evicted
               | _ ->
                   failwith
                     (Printf.sprintf "Stream: malformed evicted line %S" line))
           | 'b' -> (
               match String.split_on_char ' ' line with
               | [ "b"; origin; seq; last_seen; late; count ] ->
-                  let origin = int_of_string origin
-                  and seq = int_of_string seq
-                  and last_seen = int_of_string last_seen
-                  and count = int_of_string count in
+                  let int = Logsys.Log_io.int_of_decimal in
+                  let origin = int origin
+                  and seq = int seq
+                  and last_seen = int last_seen
+                  and count = int count in
                   if count <= 0 then failwith "Stream: empty checkpoint buffer";
                   let late =
                     match late with
@@ -599,7 +600,7 @@ let parse_checkpoint ic =
     for i = 0 to shards - 1 do
       let hdr = next_line () in
       (match String.split_on_char ' ' hdr with
-      | [ "#"; "shard"; k ] when int_of_string_opt k = Some i -> ()
+      | [ "#"; "shard"; k ] when k = string_of_int i -> ()
       | _ ->
           failwith
             (Printf.sprintf "Stream: expected '# shard %d', got %S" i hdr));

@@ -1,9 +1,8 @@
-(* The flat-column arena (zero-copy ingest): the materializing view must be
-   Record.equal-exact for every kind and boundary value, the bulk decoders
-   must agree with the record-path codec byte for byte, and every pipeline
-   entry grown an arena variant (Reconstruct.run_arena, Stream.feed_arena,
-   Global_flow.merge_from, Log_io.Mseg) must reproduce the record path's
-   output exactly, lossless and lossy. *)
+(* The flat-column arena (serve's wire-decode buffer): the materializing
+   view must be Record.equal-exact for every kind and boundary value, the
+   bulk decoders must agree with the record-path codec byte for byte, and
+   Stream.feed_arena must reproduce Stream.feed's output exactly, lossless
+   and lossy. *)
 
 let scenario = lazy (Scenario.Citysee.run Scenario.Citysee.tiny)
 
@@ -19,39 +18,6 @@ let lossy_collected p seed =
 (* Nan-safe observable identity of a flow (see test_stream.ml). *)
 let flow_sig (f : Refill.Flow.t) =
   (f.origin, f.seq, Refill.Flow.to_string f, f.stats)
-
-(* Nan-safe observable identity of a global-flow item: the payload is
-   rendered with the bit-exact line writer, so NaN times compare equal. *)
-let item_sig (i : Refill.Flow.item) =
-  ( i.node,
-    Refill.Protocol.label_name i.label,
-    i.inferred,
-    Option.map Logsys.Log_io.record_to_line_exact i.payload )
-
-let batch_flows collected =
-  let acc = ref [] in
-  Refill.Reconstruct.run collected ~sink:(sink ()) ~emit:(fun f ->
-      acc := f :: !acc);
-  List.rev !acc
-
-(* An arena holding exactly [collected]'s records, node-major — the same
-   node-scan order Collected's packet index uses. *)
-let arena_of_collected c =
-  let a = Logsys.Arena.create () in
-  for node = 0 to Logsys.Collected.n_nodes c - 1 do
-    Array.iter (Logsys.Arena.push a) (Logsys.Collected.node_log c node)
-  done;
-  a
-
-let packets_of_collected c =
-  Logsys.Arena.Packets.build (arena_of_collected c)
-    ~n_nodes:(Logsys.Collected.n_nodes c)
-
-let arena_flows c =
-  let acc = ref [] in
-  Refill.Reconstruct.run_arena (packets_of_collected c) ~sink:(sink ())
-    ~emit:(fun f -> acc := f :: !acc);
-  List.rev !acc
 
 (* -- Record generators ----------------------------------------------------- *)
 
@@ -158,9 +124,7 @@ let view_roundtrip_property =
           if not (Logsys.Record.equal (Logsys.Arena.get a i) r) then
             QCheck.Test.fail_reportf "get %d: %s <> %s" i
               (Logsys.Log_io.record_to_line_exact (Logsys.Arena.get a i))
-              (Logsys.Log_io.record_to_line_exact r);
-          if not (Logsys.Arena.equal_record a i r) then
-            QCheck.Test.fail_reportf "equal_record %d disagrees with get" i)
+              (Logsys.Log_io.record_to_line_exact r))
         records;
       true)
 
@@ -225,7 +189,7 @@ let decode_log_parity =
           (Array.length via_records);
       Array.iteri
         (fun i r ->
-          if not (Logsys.Arena.equal_record a i r) then
+          if not (Logsys.Record.equal (Logsys.Arena.get a i) r) then
             QCheck.Test.fail_reportf "row %d: %s <> %s" i
               (Logsys.Log_io.record_to_line_exact (Logsys.Arena.get a i))
               (Logsys.Log_io.record_to_line_exact r))
@@ -245,7 +209,7 @@ let decode_segment_parity =
           (Array.length via_records);
       Array.iteri
         (fun i r ->
-          if not (Logsys.Arena.equal_record a i r) then
+          if not (Logsys.Record.equal (Logsys.Arena.get a i) r) then
             QCheck.Test.fail_reportf "row %d differs" i)
         via_records;
       true)
@@ -305,58 +269,6 @@ let zigzag_guards () =
 
 (* -- Pipeline equivalence --------------------------------------------------- *)
 
-let run_arena_equals_run_lossless () =
-  let c = Lazy.force lossless in
-  let a = List.map flow_sig (batch_flows c) in
-  let b = List.map flow_sig (arena_flows c) in
-  Alcotest.(check int) "flow count" (List.length a) (List.length b);
-  List.iter2
-    (fun (ao, as_, astr, ast) (bo, bs, bstr, bst) ->
-      Alcotest.(check (pair int int)) "key" (ao, as_) (bo, bs);
-      Alcotest.(check string) "flow" astr bstr;
-      Alcotest.(check bool) "stats" true (ast = bst))
-    a b
-
-let run_arena_equals_run_lossy =
-  QCheck.Test.make ~name:"run_arena == run under random log loss" ~count:20
-    QCheck.(pair (int_range 0 90) (int_range 1 10_000))
-    (fun (pct, seed) ->
-      let c = lossy_collected (float_of_int pct /. 100.) seed in
-      let a = List.map flow_sig (batch_flows c) in
-      let b = List.map flow_sig (arena_flows c) in
-      a = b)
-
-let packets_index_matches_collected () =
-  let c = Lazy.force lossless in
-  let p = packets_of_collected c in
-  let a = Logsys.Arena.Packets.arena p in
-  Alcotest.(check (list (pair int int)))
-    "same packet keys"
-    (Logsys.Collected.packet_keys c)
-    (Logsys.Arena.Packets.keys p);
-  List.iter
-    (fun (origin, seq) ->
-      let rows = Logsys.Arena.Packets.packet_rows p ~origin ~seq in
-      let records = Logsys.Collected.packet_records c ~origin ~seq in
-      Alcotest.(check int)
-        (Printf.sprintf "packet (%d,%d) size" origin seq)
-        (Array.length records) (Array.length rows);
-      Array.iteri
-        (fun i row ->
-          Alcotest.(check bool) "node-scan order matches" true
-            (Logsys.Arena.equal_record a row records.(i)))
-        rows)
-    (Logsys.Collected.packet_keys c)
-
-let packets_build_rejects_bad_node () =
-  let a = Logsys.Arena.create () in
-  Logsys.Arena.push_row a ~node:7 ~tag:0 ~peer:0 ~origin:0 ~pkt_seq:0
-    ~true_time:0. ~gseq:0;
-  Alcotest.(check bool) "node out of range raises" true
-    (match Logsys.Arena.Packets.build a ~n_nodes:7 with
-    | exception Failure _ -> true
-    | _ -> false)
-
 let feed_arena_equals_feed =
   QCheck.Test.make ~name:"Stream.feed_arena == Stream.feed" ~count:15
     QCheck.(triple (int_range 0 60) (int_range 1 10_000) (int_range 1 999))
@@ -394,184 +306,6 @@ let feed_arena_equals_feed =
       in
       via_records = via_arena)
 
-let merge_from_arena_equals_merge () =
-  let check_on label c =
-    let flows = Array.of_list (batch_flows c) in
-    let run source =
-      let acc = ref [] in
-      let stats =
-        Refill.Global_flow.merge_from source ~flows ~emit:(fun it ->
-            acc := item_sig it :: !acc)
-      in
-      (List.rev !acc, stats)
-    in
-    let items_a, stats_a = run (Refill.Global_flow.Snapshot c) in
-    let items_b, stats_b =
-      run (Refill.Global_flow.Arena_index (packets_of_collected c))
-    in
-    Alcotest.(check int) (label ^ ": events") stats_a.events stats_b.events;
-    Alcotest.(check int) (label ^ ": logged") stats_a.logged stats_b.logged;
-    Alcotest.(check int)
-      (label ^ ": inferred")
-      stats_a.inferred stats_b.inferred;
-    Alcotest.(check int) (label ^ ": relaxed") stats_a.relaxed stats_b.relaxed;
-    Alcotest.(check bool)
-      (label ^ ": identical item sequence")
-      true (items_a = items_b)
-  in
-  check_on "lossless" (Lazy.force lossless);
-  check_on "lossy" (lossy_collected 0.3 4242)
-
-(* -- Mmap reader (Mseg) ------------------------------------------------------ *)
-
-let with_dump ?(time_order = false) ?truth c f =
-  let path = Filename.temp_file "refill_arena" ".log" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Logsys.Log_io.save_file path ~sink:(sink ()) ?truth ~time_order c;
-      f path)
-
-let mseg_equals_seg () =
-  let sc = Lazy.force scenario in
-  let c = lossy_collected 0.2 77 in
-  let truth = Node.Network.truth sc.network in
-  with_dump ~time_order:true ~truth c (fun path ->
-      (* Channel path. *)
-      let ic = open_in path in
-      let seg_records =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () ->
-            let r = Logsys.Log_io.Seg.of_channel ic in
-            Alcotest.(check int) "seg nodes"
-              (Logsys.Collected.n_nodes c)
-              (Logsys.Log_io.Seg.n_nodes r);
-            let acc = ref [] in
-            let rec loop () =
-              match Logsys.Log_io.Seg.next r ~max_records:777 with
-              | None -> ()
-              | Some seg ->
-                  acc := seg :: !acc;
-                  loop ()
-            in
-            loop ();
-            Array.concat (List.rev !acc))
-      in
-      (* Mmap path. *)
-      let r = Logsys.Log_io.Mseg.open_file path in
-      Alcotest.(check int) "mseg nodes"
-        (Logsys.Collected.n_nodes c)
-        (Logsys.Log_io.Mseg.n_nodes r);
-      Alcotest.(check int) "mseg sink" (sink ())
-        (Logsys.Log_io.Mseg.sink r);
-      let a = Logsys.Arena.create () in
-      let total = ref 0 in
-      let rec loop () =
-        let n = Logsys.Log_io.Mseg.next_into r a ~max_records:777 in
-        if n > 0 then begin
-          total := !total + n;
-          loop ()
-        end
-      in
-      loop ();
-      Alcotest.(check int) "same record count"
-        (Array.length seg_records)
-        !total;
-      Alcotest.(check int) "read position" !total (Logsys.Log_io.Mseg.read r);
-      Array.iteri
-        (fun i rec_ ->
-          if not (Logsys.Arena.equal_record a i rec_) then
-            Alcotest.failf "record %d: %s <> %s" i
-              (Logsys.Log_io.record_to_line_exact (Logsys.Arena.get a i))
-              (Logsys.Log_io.record_to_line_exact rec_))
-        seg_records)
-
-let mseg_skip_parity () =
-  let c = lossy_collected 0.1 123 in
-  with_dump ~time_order:true c (fun path ->
-      let total = Logsys.Collected.total c in
-      let k = total / 3 in
-      (* Channel path: skip k, then read the rest. *)
-      let ic = open_in path in
-      let seg_rest =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () ->
-            let r = Logsys.Log_io.Seg.of_channel ic in
-            Alcotest.(check int) "seg skipped" k
-              (Logsys.Log_io.Seg.skip r k);
-            let acc = ref [] in
-            let rec loop () =
-              match Logsys.Log_io.Seg.next r ~max_records:500 with
-              | None -> ()
-              | Some seg ->
-                  acc := seg :: !acc;
-                  loop ()
-            in
-            loop ();
-            Array.concat (List.rev !acc))
-      in
-      let r = Logsys.Log_io.Mseg.open_file path in
-      Alcotest.(check int) "mseg skipped" k (Logsys.Log_io.Mseg.skip r k);
-      let a = Logsys.Arena.create () in
-      let rec loop () =
-        if Logsys.Log_io.Mseg.next_into r a ~max_records:500 > 0 then loop ()
-      in
-      loop ();
-      Alcotest.(check int) "rest count"
-        (Array.length seg_rest)
-        (Logsys.Arena.length a);
-      Array.iteri
-        (fun i rec_ ->
-          Alcotest.(check bool) "rest equal" true
-            (Logsys.Arena.equal_record a i rec_))
-        seg_rest;
-      (* Over-skip reports what was actually available. *)
-      let r2 = Logsys.Log_io.Mseg.open_file path in
-      Alcotest.(check int) "over-skip clamps" total
-        (Logsys.Log_io.Mseg.skip r2 (total + 999)))
-
-let mseg_rejects_malformed () =
-  let write_file lines =
-    let path = Filename.temp_file "refill_arena" ".log" in
-    let oc = open_out path in
-    List.iter (fun l -> output_string oc (l ^ "\n")) lines;
-    close_out oc;
-    path
-  in
-  let raises_failure path =
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        match
-          let r = Logsys.Log_io.Mseg.open_file path in
-          let a = Logsys.Arena.create () in
-          ignore (Logsys.Log_io.Mseg.next_into r a ~max_records:10)
-        with
-        | exception Failure _ -> true
-        | _ -> false)
-  in
-  Alcotest.(check bool) "bad header raises" true
-    (raises_failure (write_file [ "not a dump" ]));
-  Alcotest.(check bool) "malformed record raises" true
-    (raises_failure
-       (write_file
-          [
-            "# refill-log v1";
-            "# nodes 3";
-            "# sink 0";
-            "r 1 teleport - 1 0 0.0 0";
-          ]));
-  Alcotest.(check bool) "node out of range raises" true
-    (raises_failure
-       (write_file
-          [ "# refill-log v1"; "# nodes 3"; "# sink 0"; "r 9 gen - 9 0 0.5 1" ]));
-  Alcotest.(check bool) "peer on gen raises" true
-    (raises_failure
-       (write_file
-          [ "# refill-log v1"; "# nodes 3"; "# sink 0"; "r 1 gen 2 1 0 0.5 1" ]))
-
 let () =
   Alcotest.run "arena"
     [
@@ -590,22 +324,5 @@ let () =
       ( "codec_guards",
         [ Alcotest.test_case "zigzag range" `Quick zigzag_guards ] );
       ( "pipeline",
-        [
-          Alcotest.test_case "run_arena == run (lossless)" `Quick
-            run_arena_equals_run_lossless;
-          QCheck_alcotest.to_alcotest run_arena_equals_run_lossy;
-          Alcotest.test_case "packet index matches Collected" `Quick
-            packets_index_matches_collected;
-          Alcotest.test_case "index rejects bad node" `Quick
-            packets_build_rejects_bad_node;
-          QCheck_alcotest.to_alcotest feed_arena_equals_feed;
-          Alcotest.test_case "merge_from Arena_index == merge" `Quick
-            merge_from_arena_equals_merge;
-        ] );
-      ( "mseg",
-        [
-          Alcotest.test_case "mseg == seg" `Quick mseg_equals_seg;
-          Alcotest.test_case "skip parity" `Quick mseg_skip_parity;
-          Alcotest.test_case "rejects malformed" `Quick mseg_rejects_malformed;
-        ] );
+        [ QCheck_alcotest.to_alcotest feed_arena_equals_feed ] );
     ]

@@ -1,6 +1,7 @@
 (* End-to-end tests driving the built `refill` binary: the metrics dump on
-   error exits, the `explain` worked example (text and JSON), the
-   global-flow summary across merge settings, and sharded streaming from
+   error exits, exit 1 (not an internal error) on truncated dumps, the
+   `explain` worked example (text and JSON), the global-flow summary
+   across merge settings and subcommands, and sharded streaming from
    fresh processes. *)
 
 module J = Refill_obs.Json
@@ -29,8 +30,9 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Run the CLI, capturing stdout and stderr; returns (exit code, stdout). *)
-let run_cli args =
+(* Run the CLI, capturing stdout and stderr; returns (exit code, stdout,
+   stderr). *)
+let run_cli_full args =
   let out = tmp ".out" and err = tmp ".err" in
   Fun.protect
     ~finally:(fun () ->
@@ -43,7 +45,12 @@ let run_cli args =
           (Filename.quote out) (Filename.quote err)
       in
       let code = Sys.command cmd in
-      (code, read_file out))
+      (code, read_file out, read_file err))
+
+(* (exit code, stdout). *)
+let run_cli args =
+  let code, out, _ = run_cli_full args in
+  (code, out)
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -100,6 +107,37 @@ let missing_file_still_dumps_metrics () =
       Alcotest.(check bool) "missing input is a nonzero exit" true (code <> 0);
       Alcotest.(check bool) "metrics survive the I/O error" true
         (Sys.file_exists metrics))
+
+let truncated_dump_exits_1 () =
+  (* An input that ends before or inside the three header lines is
+     malformed input (exit 1, one prefixed message), not an internal
+     error (an uncaught End_of_file exits 125). *)
+  List.iter
+    (fun (what, text) ->
+      let bad = tmp ".log" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove bad)
+        (fun () ->
+          let oc = open_out_bin bad in
+          output_string oc text;
+          close_out oc;
+          List.iter
+            (fun (sub, extra) ->
+              let name = Printf.sprintf "%s: %s" what sub in
+              let code, _, err = run_cli_full (sub :: bad :: extra) in
+              Alcotest.(check int) (name ^ " exits 1") 1 code;
+              Alcotest.(check bool)
+                (name ^ " reports malformed input")
+                true
+                (contains err (bad ^ ": malformed input: ")))
+            [
+              ("reconstruct", [ "-q" ]);
+              ("reconstruct", [ "--stream"; "-q" ]);
+              ("analyze", [ "-q" ]);
+              ("explain", [ "-q" ]);
+              ("trace", [ "--origin"; "1"; "--seq"; "0"; "-q" ]);
+            ]))
+    [ ("empty", ""); ("header only", "# refill-log v1\n# nodes 4\n") ]
 
 (* -- serve ------------------------------------------------------------------ *)
 
@@ -239,12 +277,10 @@ let analyze_global_flow_jobs () =
   in
   let default = run [] in
   Alcotest.(check string) "--jobs 1 = default" default (run [ "--jobs"; "1" ]);
-  (* The arena-indexed merge source reads the same records. *)
-  let code, out =
-    run_cli [ "reconstruct"; "--mmap"; "--global-flow"; log; "-q" ]
-  in
+  (* `reconstruct` reaches the same merge through its own batch body. *)
+  let code, out = run_cli [ "reconstruct"; "--global-flow"; log; "-q" ] in
   Alcotest.(check int) "reconstruct exits 0" 0 code;
-  Alcotest.(check string) "reconstruct --mmap = analyze" default
+  Alcotest.(check string) "reconstruct --global-flow = analyze" default
     (global_flow_line out)
 
 (* -- Sharded streaming ------------------------------------------------------ *)
@@ -293,6 +329,8 @@ let () =
             malformed_log_still_dumps_metrics;
           Alcotest.test_case "missing file writes metrics" `Quick
             missing_file_still_dumps_metrics;
+          Alcotest.test_case "empty or header-only dump exits 1" `Quick
+            truncated_dump_exits_1;
         ] );
       ( "serve",
         [
@@ -313,7 +351,7 @@ let () =
         ] );
       ( "global-flow",
         [
-          Alcotest.test_case "analyze --jobs 1 = default = --mmap" `Quick
+          Alcotest.test_case "analyze, --jobs and reconstruct agree" `Quick
             analyze_global_flow_jobs;
         ] );
       ( "sharded",

@@ -29,6 +29,18 @@ let roundtrip_records () =
       Alcotest.(check bool) "record roundtrips" true (back = r))
     records
 
+(* Integer fields that [int_of_string] would accept and reinterpret:
+   hex, underscores, an explicit plus, binary, unsigned.  One per integer
+   field of a record line. *)
+let non_decimal_lines =
+  [
+    "r 0x1 gen - 1 0 0.5 0";
+    "r 1 gen - 1_0 0 0.5 0";
+    "r 1 gen - 1 +3 0.5 0";
+    "r 1 gen - 1 0 0.5 0b11";
+    "r 1 trans 0u2 1 0 0.5 0";
+  ]
+
 let record_of_line_rejects_garbage () =
   Alcotest.(check bool) "bad line raises" true
     (match Logsys.Log_io.record_of_line "nonsense" with
@@ -37,7 +49,134 @@ let record_of_line_rejects_garbage () =
   Alcotest.(check bool) "bad kind raises" true
     (match Logsys.Log_io.record_of_line "r 1 teleport - 1 0 0.0 0" with
     | exception Failure _ -> true
-    | _ -> false)
+    | _ -> false);
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) ("non-decimal integer raises: " ^ line) true
+        (match Logsys.Log_io.record_of_line line with
+        | exception Failure _ -> true
+        | _ -> false))
+    non_decimal_lines
+
+(* Whole dumps that must fail to load, by either reader.  The first three
+   are header faults (the last two end inside the header); the rest are
+   malformed body lines. *)
+let malformed_dumps =
+  let header = "# refill-log v1\n# nodes 3\n# sink 0\n" in
+  [
+    ("bad header", "not a dump\n");
+    ("empty file", "");
+    ("truncated header", "# refill-log v1\n# nodes 4\n");
+    ("unknown kind", header ^ "r 1 teleport - 1 0 0.0 0\n");
+    ("node out of range", header ^ "r 9 gen - 9 0 0.5 1\n");
+    ("peer on gen", header ^ "r 1 gen 2 1 0 0.5 1\n");
+    ("missing peer on trans", header ^ "r 1 trans - 1 0 0.5 1\n");
+    ("garbage line", header ^ "x what\n");
+  ]
+  @ List.map (fun l -> ("non-decimal " ^ l, header ^ l ^ "\n")) non_decimal_lines
+
+let with_text text f =
+  let path = Filename.temp_file "refill" ".log" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc text;
+      close_out oc;
+      In_channel.with_open_bin path f)
+
+let load_and_seg_reject_malformed () =
+  List.iter
+    (fun (name, text) ->
+      let fails f =
+        match with_text text f with exception Failure _ -> true | _ -> false
+      in
+      Alcotest.(check bool) (name ^ ": load") true
+        (fails (fun ic -> ignore (Logsys.Log_io.load ic)));
+      Alcotest.(check bool) (name ^ ": Seg.next") true
+        (fails (fun ic ->
+             let r = Logsys.Log_io.Seg.of_channel ic in
+             while Logsys.Log_io.Seg.next r ~max_records:10 <> None do
+               ()
+             done)))
+    malformed_dumps
+
+let decimal_integers_only () =
+  (* Truth lines too ([Seg] skips them, so only [load] reads them). *)
+  Alcotest.(check bool) "load rejects a non-decimal truth field" true
+    (match
+       with_text
+         "# refill-log v1\n# nodes 3\n# sink 0\n\
+          t 0x1 0 delivered - 0.0 1.0 1,0\n"
+         Logsys.Log_io.load
+     with
+    | exception Failure _ -> true
+    | _ -> false);
+  List.iter
+    (fun (s, v) ->
+      Alcotest.(check int) ("parses " ^ s) v (Logsys.Log_io.int_of_decimal s))
+    [
+      ("0", 0);
+      ("-0", 0);
+      ("42", 42);
+      ("-7", -7);
+      ("007", 7);
+      (string_of_int max_int, max_int);
+      (string_of_int min_int, min_int);
+    ];
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) ("rejects " ^ s) true
+        (match Logsys.Log_io.int_of_decimal s with
+        | exception Failure _ -> true
+        | _ -> false))
+    [
+      "";
+      "-";
+      "--1";
+      " 1";
+      "1 ";
+      "0x1";
+      "1_0";
+      "+3";
+      "0b11";
+      "0o7";
+      "0u5";
+      "1e3";
+      (* One past either end of the int range. *)
+      "4611686018427387904";
+      "-4611686018427387905";
+      "99999999999999999999";
+    ]
+
+let decimal_zero_alloc () =
+  (* The parser sits on the load path of every record field: parsing
+     allocates nothing, measured as the minor-words delta of the work
+     against an empty thunk's ([Gc.minor_words] is exact for the calling
+     domain). *)
+  let inputs =
+    [| "0"; "-1"; "4242"; string_of_int max_int; string_of_int min_int |]
+  in
+  let sum = ref 0 in
+  let work () =
+    for _ = 1 to 1000 do
+      for k = 0 to Array.length inputs - 1 do
+        sum := !sum + Logsys.Log_io.int_of_decimal inputs.(k)
+      done
+    done
+  in
+  work ();
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let baseline = words (fun () -> ()) in
+  Alcotest.(check (float 0.)) "minor words" 0. (words work -. baseline)
+
+let decimal_roundtrip_property =
+  QCheck.Test.make ~name:"int_of_decimal inverts string_of_int" ~count:1000
+    QCheck.int (fun n -> Logsys.Log_io.int_of_decimal (string_of_int n) = n)
 
 let roundtrip_dump () =
   let logger = Logsys.Logger.create ~n_nodes:3 in
@@ -440,6 +579,13 @@ let () =
           Alcotest.test_case "dump roundtrip" `Quick roundtrip_dump;
           Alcotest.test_case "dump without truth" `Quick dump_without_truth;
           Alcotest.test_case "bad header" `Quick load_rejects_bad_header;
+          Alcotest.test_case "load and Seg reject malformed dumps" `Quick
+            load_and_seg_reject_malformed;
+          Alcotest.test_case "decimal integers only" `Quick
+            decimal_integers_only;
+          QCheck_alcotest.to_alcotest decimal_roundtrip_property;
+          Alcotest.test_case "int_of_decimal allocates nothing" `Quick
+            decimal_zero_alloc;
           Alcotest.test_case "pipeline through file" `Quick
             full_pipeline_through_file;
         ] );

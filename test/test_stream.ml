@@ -465,6 +465,20 @@ let resume_rejects_nonsense_headers () =
         v2_header ^ "# clock 10\n# shard 0\n# processed 7\n# flows 0\n\
                      # complete 0\n# incomplete 0\n# evictions 0\n\
                      # late-fragments 0\n# forgotten 0\n# peak-frontier 0\n" );
+      (* Integers are plain decimal: int_of_string would read these as
+         16, 3 and 10 and resume from a state nobody wrote. *)
+      ( "hex watermark",
+        "# refill-stream-ckpt v1\n# processed 10\n# watermark 0x10\n\
+         # segments 1\n# flows 0\n# complete 0\n# incomplete 0\n\
+         # evictions 0\n# late-fragments 0\n# peak-frontier 0\n" );
+      ( "hex evicted key",
+        v2_header ^ "# clock 10\n# shard 0\n# processed 10\n# flows 0\n\
+                     # complete 0\n# incomplete 0\n# evictions 0\n\
+                     # late-fragments 0\n# forgotten 0\n# peak-frontier 0\n\
+                     e 0x3 7 5\n" );
+      ( "underscored buffer count",
+        v1 ~processed:10 ~watermark:100 ~peak:10
+          ~body:(Printf.sprintf "b 3 7 5 0 0_1\n%s\n" record_line) );
     ]
   in
   List.iter
